@@ -32,11 +32,13 @@ from .geometry import (
 )
 from .link import (
     CugLinkReport,
+    LinkBatch,
     LinkConfig,
     LinkReport,
     ZfResult,
     cug_channel,
     evaluate_link,
+    evaluate_placements,
     mode_field,
     projection_sinr,
     zf_sinr,

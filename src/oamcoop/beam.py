@@ -21,16 +21,19 @@ MAX_MODE_ORDER = 20
 
 @dataclass(frozen=True)
 class BeamSpec:
-    """A transmitted vortex beam: wavelength, azimuthal mode order, waist radius."""
+    """A transmitted vortex beam: wavelength, azimuthal mode order, waist radius.
+
+    An array of waists describes one beam per element; profiles broadcast.
+    """
 
     wavelength: float
     mode: int
-    waist: float
+    waist: float | np.ndarray
 
     def __post_init__(self):
         if not self.wavelength > 0.0:
             raise ValueError("wavelength must be positive")
-        if not self.waist > 0.0:
+        if not np.all(np.asarray(self.waist) > 0.0):
             raise ValueError("waist must be positive")
         if not isinstance(self.mode, (int, np.integer)):
             raise TypeError("mode must be an integer")
@@ -144,12 +147,18 @@ def waist_solve(target: RingTarget, wavelength: float, mode: int) -> float:
             f"feasibility floor {floor:.6g} m at z = {z:.6g} m",
             deficit=floor - r,
         )
+    return float(ring_waists(r, z, wavelength, mode))
+
+
+def ring_waists(ring_radius, z, wavelength: float, mode: int) -> np.ndarray:
+    """waist_solve over broadcast arrays (z > 0): NaN where the ring is below the floor."""
+    r = np.asarray(ring_radius, dtype=float)
+    z = np.asarray(z, dtype=float)
     half_sum = r * r / abs(mode)  # half the sum of the two roots in waist^2
     product = (z * wavelength / math.pi) ** 2  # product of the two roots
-    disc = half_sum * half_sum - product
-    if disc < 0.0:  # only roundoff can bring us here once r >= floor
-        disc = 0.0
+    # Only roundoff makes the discriminant negative once r >= floor.
+    disc = np.maximum(half_sum * half_sum - product, 0.0)
     # Quotient form of the smaller root avoids cancellation when the roots
     # are far apart (tight focus at long range).
-    waist_sq = product / (half_sum + math.sqrt(disc))
-    return math.sqrt(waist_sq)
+    waist = np.sqrt(product / (half_sum + np.sqrt(disc)))
+    return np.where(r < feasible_ring_radius(wavelength, mode, z), np.nan, waist)

@@ -1,7 +1,8 @@
 """Command line front end: heatmap, sweep, and validate subcommands.
 
 Exit codes: 0 success, 1 validation check failed, 2 configuration error,
-3 infeasible scenario.
+3 infeasible scenario or placement.  Any other error is a fault of the
+program and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__
 from .beam import BeamSpec, RingTarget, optimal_ring_radius, waist_solve
 from .config import config_echo, load_config
-from .errors import ConfigError, InfeasibleScenarioError, OamCoopError
+from .errors import ConfigError, InfeasiblePlacementError, InfeasibleScenarioError, OamCoopError
 from .geometry import aim_at_midpoints, beam_frame_coords, bisector_intersection
 from .link import cug_channel, zf_sinr
 from .sim import SCHEMES, ScenarioConfig, run_experiment, se_heatmap, summarize
@@ -46,6 +47,14 @@ def _write_manifest(out: Path, command: str, cfg: ScenarioConfig, arguments: dic
     path = Path(str(out) + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def _override(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
+    """cfg with command-line values applied; a value it rejects is a ConfigError."""
+    try:
+        return replace(cfg, **changes)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_csv_list(raw: str, kind: str):
@@ -77,9 +86,9 @@ def cmd_sweep(cfg: ScenarioConfig, out: Path, axis: str, values, schemes) -> int
     lines = ["axis_value,scheme,mean_se_bps_hz,ci95_half_width,trials,flag_rate"]
     for value in values:
         if axis == "height":
-            cfg_v = replace(cfg, fbs_height=float(value))
+            cfg_v = _override(cfg, fbs_height=float(value))
         else:
-            cfg_v = replace(cfg, user_count=int(value))
+            cfg_v = _override(cfg, user_count=int(value))
         summaries = summarize(run_experiment(cfg_v, schemes))
         for scheme in schemes:
             s = summaries[scheme]
@@ -238,10 +247,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         seed = getattr(args, "seed", None)
         if seed is not None:
-            cfg = replace(cfg, master_seed=seed)
+            cfg = _override(cfg, master_seed=seed)
         trials = getattr(args, "trials", None)
         if trials is not None:
-            cfg = replace(cfg, trials=trials)
+            cfg = _override(cfg, trials=trials)
 
         if args.command == "heatmap":
             if args.grid < 2:
@@ -268,10 +277,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (TypeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except InfeasibleScenarioError as exc:
+    except (InfeasibleScenarioError, InfeasiblePlacementError) as exc:
         print(f"infeasible scenario: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

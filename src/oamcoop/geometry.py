@@ -30,7 +30,7 @@ class GroundPoint(NamedTuple):
 
 
 class BeamFrameCoords(NamedTuple):
-    """Cylindrical coordinates of a receive point in a beam's own frame."""
+    """Cylindrical coordinates of receive points in a beam's own frame (floats or arrays)."""
 
     radial: float
     azimuth: float
@@ -44,11 +44,12 @@ class Placement:
 
     ``axes[i]`` is the unit vector from the position toward pair i's chord
     midpoint; ``distances[i]`` is the corresponding transmission distance.
+    A Placement of N stations puts a leading axis of length N on each field.
     """
 
-    position: np.ndarray  # shape (3,)
-    axes: np.ndarray  # shape (2, 3)
-    distances: np.ndarray  # shape (2,)
+    position: np.ndarray  # shape (3,) or (N, 3)
+    axes: np.ndarray  # shape (2, 3) or (N, 2, 3)
+    distances: np.ndarray  # shape (2,) or (N, 2)
 
 
 def chord_midpoint(p, q) -> GroundPoint:
@@ -65,8 +66,11 @@ def bisector_intersection(u1, u2, u3, u4) -> GroundPoint:
 
     The returned point is equidistant from u1 and u2, and from u3 and u4.
     Solved as a 2x2 linear system: a point X is on the bisector of (p, q)
-    iff (q - p) . X = (|q|^2 - |p|^2) / 2.  Raises ParallelChordsError when
-    the chords are parallel and no unique intersection exists.
+    iff (q - p) . X = (|q|^2 - |p|^2) / 2.  Parallel chords whose bisectors
+    coincide (a rectangle or an isosceles trapezoid) have a whole line of
+    such points; the one nearest the midpoint of the two chord midpoints is
+    returned.  Raises ParallelChordsError when the chords are parallel and
+    their bisectors are distinct.
     """
     p1 = np.asarray(u1, dtype=float)
     q1 = np.asarray(u2, dtype=float)
@@ -80,7 +84,14 @@ def bisector_intersection(u1, u2, u3, u4) -> GroundPoint:
         raise DegenerateChordError("degenerate chord: endpoints coincide")
     det = d1[0] * d2[1] - d1[1] * d2[0]
     if abs(det) < PARALLEL_TOL * len1 * len2:
-        raise ParallelChordsError("no unique intersection: chords are parallel")
+        m1 = 0.5 * (p1 + q1)
+        gap = 0.5 * (p2 + q2) - m1
+        # The bisectors coincide iff chord 2's midpoint lies on chord 1's bisector.
+        offset = float(d1 @ gap)
+        if abs(offset) > PARALLEL_TOL * len1 * max(len1, len2, math.hypot(*gap)):
+            raise ParallelChordsError("no intersection: chords are parallel")
+        x, y = m1 + 0.5 * gap - d1 * (0.5 * offset / (len1 * len1))
+        return GroundPoint(float(x), float(y))
     b1 = 0.5 * (float(q1 @ q1) - float(p1 @ p1))
     b2 = 0.5 * (float(q2 @ q2) - float(p2 @ p2))
     x = (b1 * d2[1] - b2 * d1[1]) / det
@@ -98,52 +109,47 @@ def transmission_distance(position, midpoint) -> float:
 
 
 def aim_at_midpoints(position, m1, m2) -> Placement:
-    """Build a Placement whose axes point from position at the two midpoints."""
+    """Placement of one station (3,) or N (N, 3) aimed at the two midpoints."""
     pos = np.asarray(position, dtype=float)
-    axes = np.empty((2, 3))
-    dists = np.empty(2)
-    for i, m in enumerate((m1, m2)):
-        target = np.array([float(m[0]), float(m[1]), 0.0])
-        delta = target - pos
-        dist = float(np.linalg.norm(delta))
-        if dist == 0.0:
-            raise ValueError("aim point coincides with the station position")
-        axes[i] = delta / dist
-        dists[i] = dist
-    return Placement(position=pos, axes=axes, distances=dists)
+    targets = np.array(((m1[0], m1[1], 0.0), (m2[0], m2[1], 0.0)), dtype=float)
+    delta = targets - pos[..., None, :]
+    dists = np.sqrt(np.sum(delta * delta, axis=-1))
+    if np.any(dists == 0.0):
+        raise ValueError("aim point coincides with the station position")
+    return Placement(position=pos, axes=delta / dists[..., None], distances=dists)
 
 
 def beam_frame_coords(position, axis, point) -> BeamFrameCoords:
-    """Express a receive point in the cylindrical frame of a beam axis.
+    """Express receive points in the cylindrical frame of beam axes.
 
     The axial coordinate is the signed projection of (point - position) on
     the unit axis.  Azimuth is measured in the transverse plane against the
     projection of the global +x axis (global +y when the axis is parallel
     to x), counterclockwise about the beam direction.  A point on the axis
     has undefined azimuth and is returned as (0, 0, axial, on_axis=True).
+    The arguments broadcast over leading axes; points may be 2D ground points.
     """
-    # Scalar math throughout: this runs four times per link evaluation and
-    # numpy overhead on 3-vectors dominates otherwise.
-    px, py, pz = (float(c) for c in position)
-    ax, ay, az = (float(c) for c in axis)
-    qx, qy = float(point[0]), float(point[1])
-    qz = float(point[2]) if len(point) == 3 else 0.0
-    rx, ry, rz = qx - px, qy - py, qz - pz
+    px, py, pz = np.moveaxis(np.asarray(position, dtype=float), -1, 0)
+    ax, ay, az = np.moveaxis(np.asarray(axis, dtype=float), -1, 0)
+    q = np.asarray(point, dtype=float)
+    rx, ry = q[..., 0] - px, q[..., 1] - py
+    rz = (q[..., 2] if q.shape[-1] == 3 else 0.0) - pz
     axial = rx * ax + ry * ay + rz * az
     tx, ty, tz = rx - axial * ax, ry - axial * ay, rz - axial * az
-    rho = math.hypot(tx, ty, tz)
-    scale = math.hypot(rx, ry, rz)
-    if rho <= PARALLEL_TOL * max(scale, 1.0):
-        return BeamFrameCoords(0.0, 0.0, axial, True)
-    # e1: global +x (or +y) with its axial part removed; e2 = axis x e1.
-    e1x, e1y, e1z = 1.0 - ax * ax, -ax * ay, -ax * az
-    if math.hypot(e1x, e1y, e1z) < 1e-9:
-        e1x, e1y, e1z = -ay * ax, 1.0 - ay * ay, -ay * az
-    n1 = math.hypot(e1x, e1y, e1z)
-    e1x, e1y, e1z = e1x / n1, e1y / n1, e1z / n1
-    e2x, e2y, e2z = ay * e1z - az * e1y, az * e1x - ax * e1z, ax * e1y - ay * e1x
-    phi = math.atan2(tx * e2x + ty * e2y + tz * e2z, tx * e1x + ty * e1y + tz * e1z)
-    return BeamFrameCoords(rho, phi, axial, False)
+    rho = np.sqrt(tx * tx + ty * ty + tz * tz)
+    scale = np.sqrt(rx * rx + ry * ry + rz * rz)
+    on_axis = rho <= PARALLEL_TOL * np.maximum(scale, 1.0)
+    # Azimuth from e1, the unit transverse part of global +x (of +y when the
+    # axis is along x), toward e2 = axis x e1.  For transverse t, t . e1 is
+    # t_x / |e1| and t . e2 is (axis x x_hat) . t / |e1|; atan2 drops |e1|.
+    phi = np.where(
+        ay * ay + az * az < 1e-18,
+        np.arctan2(tz * ax - tx * az, ty),
+        np.arctan2(ty * az - tz * ay, tx),
+    )
+    return BeamFrameCoords(
+        np.where(on_axis, 0.0, rho)[()], np.where(on_axis, 0.0, phi)[()], axial, on_axis
+    )
 
 
 def _orient(a, b, c) -> float:

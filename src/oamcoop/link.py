@@ -12,12 +12,11 @@ occupy orthogonal resources, so their rates add.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import MAX_MODE_ORDER, BeamSpec, RingTarget, intensity, waist_solve
-from .errors import WaistInfeasibleError
+from .beam import MAX_MODE_ORDER, BeamSpec, intensity, ring_waists
 from .geometry import Placement, beam_frame_coords
 
 C_LIGHT = 299_792_458.0
@@ -133,31 +132,54 @@ def mode_field(spec: BeamSpec, radial, azimuth, axial):
     return amp * np.exp(1j * spec.mode * np.asarray(azimuth, dtype=float))
 
 
-def cug_channel(cfg: LinkConfig, beam: BeamSpec, coords, axial_distances) -> np.ndarray:
-    """2x2 channel of one pair: rows are users, columns follow cfg.mode_set.
+def pair_channels(cfg: LinkConfig, beam: BeamSpec, radial, azimuth, axial) -> np.ndarray:
+    """Pair channels (..., user, mode): columns follow cfg.mode_set.
 
-    ``coords`` are the users' beam-frame coordinates, ``axial_distances``
-    their per-user axial distances (nonnegative).  Every column shares the
-    waist of ``beam``; only the azimuthal order differs.
+    ``radial``, ``azimuth`` and ``axial`` (nonnegative) are the users'
+    beam-frame coordinates (..., 2); ``beam.waist`` is one waist or one per
+    pair (...).  Columns share the waist; only the azimuthal order differs.
     """
     gain = math.sqrt(cfg.transmit_power * cfg.effective_aperture)
-    h = np.empty((2, 2), dtype=complex)
-    for i, (cu, z) in enumerate(zip(coords, axial_distances)):
-        for m, mode in enumerate(cfg.mode_set):
-            h[i, m] = gain * mode_field(
-                replace(beam, mode=mode), cu.radial, cu.azimuth, z
-            )
-    return h
+    waist = np.asarray(beam.waist, dtype=float)[..., None]
+    columns = [
+        mode_field(BeamSpec(beam.wavelength, mode, waist), radial, azimuth, axial)
+        for mode in cfg.mode_set
+    ]
+    return gain * np.stack(columns, axis=-1)
 
 
-def channel_condition(channel) -> tuple[float, bool]:
-    """2-norm condition number of a pair channel and whether its modes separate.
+def cug_channel(cfg: LinkConfig, beam: BeamSpec, coords, axial_distances) -> np.ndarray:
+    """2x2 channel of one pair from its two users' BeamFrameCoords; see pair_channels."""
+    radial = [cu.radial for cu in coords]
+    azimuth = [cu.azimuth for cu in coords]
+    return pair_channels(cfg, beam, radial, azimuth, axial_distances)
 
-    A condition number beyond ILL_CONDITION_LIMIT, or one that is not
-    finite, marks the modes as inseparable.
+
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def channel_condition(channel):
+    """2-norm condition numbers of pair channels (..., 2, 2) and whether modes separate.
+
+    Closed form: sigma_max^2 = (||H||_F^2 + sqrt(||H||_F^4 - 4 |det H|^2)) / 2
+    and sigma_max * sigma_min = |det H|.  The discriminant is summed as
+    (p - s)^2 + 4 |q|^2 from the Gram matrix [[p, q], [q*, s]], so a
+    well-conditioned channel keeps full precision.  A singular channel gets
+    inf; beyond ILL_CONDITION_LIMIT the modes count as inseparable.
     """
-    condition = float(np.linalg.cond(channel))
-    return condition, math.isfinite(condition) and condition <= ILL_CONDITION_LIMIT
+    h = np.ascontiguousarray(channel, dtype=complex)
+    # Scaled by the largest entry, no square under- or overflows; dividing
+    # the real parts keeps a subnormal scale from overflowing its reciprocal.
+    scale = np.abs(h).max(axis=(-2, -1), keepdims=True)
+    h = (h.view(float) / np.where(scale > 0.0, scale, 1.0)).view(complex)
+    a, b, c, d = h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1]
+    p = _abs2(a) + _abs2(c)
+    s = _abs2(b) + _abs2(d)
+    top = 0.5 * (p + s + np.sqrt((p - s) ** 2 + 4.0 * _abs2(a.conj() * b + c.conj() * d)))
+    det = np.abs(a * d - b * c)
+    condition = np.divide(top, det, out=np.full_like(top, np.inf), where=det > 0.0)
+    return condition, condition <= ILL_CONDITION_LIMIT
 
 
 def zf_sinr(channel, noise_power: float) -> ZfResult:
@@ -173,16 +195,16 @@ def zf_sinr(channel, noise_power: float) -> ZfResult:
         raise ValueError("noise_power must be positive")
     condition, separable = channel_condition(h)
     if not separable:
-        return ZfResult((0.0, 0.0), condition, False)
+        return ZfResult((0.0, 0.0), float(condition), False)
     gram_inv = np.linalg.inv(h.conj().T @ h)
     sinr = tuple(
         1.0 / (noise_power * float(np.real(gram_inv[m, m]))) for m in range(2)
     )
-    return ZfResult(sinr, condition, True)
+    return ZfResult(sinr, float(condition), True)
 
 
-def projection_sinr(channel, azimuths, modes, noise_power: float) -> tuple[float, float]:
-    """Per-mode SINR of the helical-phase projection receiver.
+def projection_sinr(channel, azimuths, modes, noise_power: float) -> np.ndarray:
+    """Per-mode SINR of the helical-phase projection receiver, shape (..., mode).
 
     w_m = exp(i m phi_i) / sqrt(2) is mode m's helical phase sampled at
     the users' beam-frame azimuths phi_i; the receiver recovers mode m as
@@ -191,81 +213,90 @@ def projection_sinr(channel, azimuths, modes, noise_power: float) -> tuple[float
     SINR_m = |w_m^H h_m|^2 / (|w_m^H h_other|^2 + noise).  For antipodal
     users and an odd mode gap this is (A_1m + A_2m)^2 /
     ((A_1m' - A_2m')^2 + 2 noise) with A_im = |h_im|, so the leakage
-    vanishes exactly when both users see equal amplitudes.
+    vanishes exactly when both users see equal amplitudes.  ``channel`` is
+    (..., user, mode) and ``azimuths`` (..., user).
     """
     h = np.asarray(channel, dtype=complex)
-    w = np.exp(1j * np.outer(modes, azimuths)) / math.sqrt(2.0)
-    power = np.abs(w.conj() @ h) ** 2  # [recovered mode, transmitted mode]
-    return (
-        float(power[0, 0] / (power[0, 1] + noise_power)),
-        float(power[1, 1] / (power[1, 0] + noise_power)),
+    phase = np.asarray(modes, dtype=float)[:, None] * np.asarray(azimuths, dtype=float)[..., None, :]
+    w = np.exp(1j * phase) / math.sqrt(2.0)
+    power = _abs2(w.conj() @ h)  # [..., recovered mode, transmitted mode]
+    own = np.diagonal(power, axis1=-2, axis2=-1)
+    leak = np.diagonal(power[..., ::-1], axis1=-2, axis2=-1)
+    return own / (leak + noise_power)
+
+
+@dataclass(frozen=True, eq=False)
+class LinkBatch:
+    """Link outcomes of N placements serving one selection, per placement and pair."""
+
+    waist: np.ndarray  # (N, 2); NaN where the pair's ring is out of reach
+    sinr: np.ndarray  # (N, 2, 2): placement, pair, mode
+    condition: np.ndarray  # (N, 2); inf where the pair's ring is out of reach
+
+    @property
+    def se_per_mode(self) -> np.ndarray:
+        return np.log2(1.0 + self.sinr)
+
+    @property
+    def se_total(self) -> np.ndarray:
+        """Spectrum efficiency of each placement, (N,): pair rates add."""
+        se = self.se_per_mode
+        return (se[:, 0, 0] + se[:, 0, 1]) + (se[:, 1, 0] + se[:, 1, 1])
+
+
+def evaluate_placements(cfg: LinkConfig, placement: Placement, selection, users) -> LinkBatch:
+    """Link outcomes of one placement or N (see Placement) serving a selection.
+
+    Per pair: re-tune the waist so the ring-mode ring radius equals half the
+    chord at the aim distance, build the channel from the users' beam-frame
+    coordinates, and recover each mode by projection onto its helical phase
+    (projection_sinr).  An aligned pair gets the zero-forcing rate; off the
+    station's bisector a pair loses rate to crosstalk between its modes.  An
+    unreachable ring or an inseparable channel gives the pair zero SINR.
+    """
+    pos = np.asarray(getattr(users, "positions", users), dtype=float)
+    stations = np.asarray(placement.position, dtype=float).reshape(-1, 1, 1, 3)
+    axes = np.asarray(placement.axes, dtype=float).reshape(-1, 2, 1, 3)
+    distances = np.asarray(placement.distances, dtype=float).reshape(-1, 2)
+    chords = np.array((selection.chord1, selection.chord2))
+    waist = ring_waists(0.5 * chords, distances, cfg.wavelength, cfg.ring_mode)
+    reachable = ~np.isnan(waist)
+    ends = pos[[selection.cug1, selection.cug2]]  # [pair, user, xy]
+    coords = beam_frame_coords(stations, axes, ends)  # fields [placement, pair, user]
+    beam = BeamSpec(cfg.wavelength, cfg.ring_mode, np.where(reachable, waist, 1.0))
+    # w(z) is even in z, so a user behind the waist plane sees the
+    # mirrored profile.
+    channel = pair_channels(cfg, beam, coords.radial, coords.azimuth, np.abs(coords.axial))
+    condition, separable = channel_condition(channel)
+    sinr = projection_sinr(channel, coords.azimuth, cfg.mode_set, cfg.noise_power)
+    return LinkBatch(
+        waist=waist,
+        sinr=np.where((separable & reachable)[..., None], sinr, 0.0),
+        condition=np.where(reachable, condition, math.inf),
     )
 
 
 def evaluate_link(cfg: LinkConfig, placement: Placement, selection, users) -> LinkReport:
-    """Spectrum efficiency of a placement serving both pairs of a selection.
-
-    Per pair: re-tune the waist so the ring-mode ring radius equals half
-    the chord at the pair's aim distance, build the channel from the users'
-    beam-frame coordinates, recover each mode by projection onto its
-    helical phase (projection_sinr), and sum log2(1 + SINR) over both
-    modes.  An aligned pair gets the zero-forcing rate; a pair off the
-    station's bisector loses rate to crosstalk between its modes.  An
-    unreachable ring contributes zero rate with a waist-infeasible flag; a
-    channel that channel_condition marks inseparable contributes zero rate
-    with its own flag.
-    """
-    pos = np.asarray(getattr(users, "positions", users), dtype=float)
-    lam = cfg.wavelength
+    """evaluate_placements for one placement, reported per pair with flags."""
+    batch = evaluate_placements(cfg, placement, selection, users)
+    se_per_mode = batch.se_per_mode[0].tolist()
     reports = []
-    pairs = (
-        (selection.cug1, selection.chord1),
-        (selection.cug2, selection.chord2),
-    )
-    for k, (pair, chord) in enumerate(pairs):
-        aim_distance = float(placement.distances[k])
-        try:
-            waist = waist_solve(
-                RingTarget(0.5 * chord, aim_distance), lam, cfg.ring_mode
-            )
-        except WaistInfeasibleError:
-            reports.append(
-                CugLinkReport(
-                    users=tuple(int(i) for i in pair),
-                    waist=None,
-                    sinr=(0.0, 0.0),
-                    se_per_mode=(0.0, 0.0),
-                    se=0.0,
-                    condition=math.inf,
-                    flags=(FLAG_WAIST_INFEASIBLE,),
-                )
-            )
-            continue
-        beam = BeamSpec(lam, cfg.ring_mode, waist)
-        coords = tuple(
-            beam_frame_coords(placement.position, placement.axes[k], pos[int(i)])
-            for i in pair
-        )
-        # w(z) is even in z, so a user behind the waist plane sees the
-        # mirrored profile.
-        axial = tuple(abs(cu.axial) for cu in coords)
-        channel = cug_channel(cfg, beam, coords, axial)
-        condition, separable = channel_condition(channel)
-        sinr = (0.0, 0.0)
-        if separable:
-            azimuths = [cu.azimuth for cu in coords]
-            sinr = projection_sinr(channel, azimuths, cfg.mode_set, cfg.noise_power)
-        se_per_mode = tuple(math.log2(1.0 + s) for s in sinr)
+    for k, pair in enumerate((selection.cug1, selection.cug2)):
+        waist = float(batch.waist[0, k])
+        condition = float(batch.condition[0, k])
+        if math.isnan(waist):
+            waist, flags = None, (FLAG_WAIST_INFEASIBLE,)
+        else:
+            flags = () if condition <= ILL_CONDITION_LIMIT else (FLAG_MODE_INSEPARABLE,)
         reports.append(
             CugLinkReport(
                 users=tuple(int(i) for i in pair),
                 waist=waist,
-                sinr=sinr,
-                se_per_mode=se_per_mode,
-                se=sum(se_per_mode),
+                sinr=tuple(batch.sinr[0, k].tolist()),
+                se_per_mode=tuple(se_per_mode[k]),
+                se=sum(se_per_mode[k]),
                 condition=condition,
-                flags=() if separable else (FLAG_MODE_INSEPARABLE,),
+                flags=flags,
             )
         )
-    reports = tuple(reports)
-    return LinkReport(cugs=reports, se_total=sum(r.se for r in reports))
+    return LinkReport(cugs=tuple(reports), se_total=sum(r.se for r in reports))

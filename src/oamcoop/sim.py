@@ -19,7 +19,7 @@ from .geometry import (
     bisector_intersection,
     chord_midpoint,
 )
-from .link import LinkConfig, LinkReport, evaluate_link
+from .link import LinkConfig, LinkReport, evaluate_link, evaluate_placements
 from .selection import (
     CugSelection,
     SelectionConfig,
@@ -56,8 +56,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if not self.hotspot_side > 0.0:
             raise ValueError("hotspot_side must be positive")
-        if self.user_count < 1:
-            raise ValueError("user_count must be at least 1")
+        if self.user_count < 4:
+            raise ValueError("user_count must be at least 4 (two user pairs)")
         if not self.fbs_height > 0.0:
             raise ValueError("fbs_height must be positive")
         if self.trials < 1:
@@ -318,10 +318,13 @@ def se_heatmap(cfg: ScenarioConfig, grid_size: int) -> HeatmapResult:
     xs = np.linspace(0.0, cfg.hotspot_side, grid_size)
     ys = np.linspace(0.0, cfg.hotspot_side, grid_size)
     se = np.empty((grid_size, grid_size))
+    # One row per batch keeps peak memory flat; a whole-grid batch runs
+    # faster but holds about 10 MB more at its peak.
+    heights = np.full(grid_size, cfg.fbs_height)
     for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            placement = aim_at_midpoints((x, y, cfg.fbs_height), m1, m2)
-            se[j, i] = evaluate_link(cfg.link, placement, selection, drop).se_total
+        row = np.column_stack((xs, np.full(grid_size, y), heights))
+        placement = aim_at_midpoints(row, m1, m2)
+        se[j] = evaluate_placements(cfg.link, placement, selection, drop).se_total
     return HeatmapResult(
         xs=xs,
         ys=ys,

@@ -5,11 +5,17 @@ import json
 import numpy as np
 import pytest
 
+from oamcoop import sim
 from oamcoop.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INFEASIBLE,
     EXIT_OK,
     main,
+)
+from oamcoop.errors import (
+    InfeasiblePlacementError,
+    ParallelChordsError,
+    WaistInfeasibleError,
 )
 
 SMALL = "user_count = 500\ntrials = 3\nmaster_seed = 5\n"
@@ -168,6 +174,14 @@ def test_sweep_rejects_unknown_scheme(tmp_path, small_cfg):
     assert rc == EXIT_CONFIG_ERROR
 
 
+def test_too_few_users_rejected(tmp_path, small_cfg):
+    # fewer than four users cannot form two pairs: a config error, not a crash
+    args = _sweep_args(tmp_path, small_cfg)
+    args[args.index("height")] = "users"
+    args[args.index("50")] = "3"
+    assert main(args) == EXIT_CONFIG_ERROR
+
+
 def test_fractional_user_count_rejected(tmp_path, small_cfg):
     rc = main(
         [
@@ -227,3 +241,41 @@ def test_validate_warns_on_even_mode_gap(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "parity" in out
     assert rc == EXIT_OK
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--trials", "0")])
+def test_rejected_override_is_config_error(tmp_path, small_cfg, capsys, flag, value):
+    rc = main(
+        ["heatmap", "--config", str(small_cfg), "--out", str(tmp_path / "h.csv"), flag, value]
+    )
+    assert rc == EXIT_CONFIG_ERROR
+    assert "config error" in capsys.readouterr().err
+
+
+def _sweep_args(tmp_path, small_cfg):
+    return [
+        "sweep", "--config", str(small_cfg), "--out", str(tmp_path / "s.csv"),
+        "--axis", "height", "--values", "50", "--schemes", "acoc",
+    ]
+
+
+def test_infeasible_placement_exit_code(tmp_path, small_cfg, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise InfeasiblePlacementError("chord below the ring floor")
+
+    monkeypatch.setattr(sim, "place_acoc", refuse)
+    assert main(_sweep_args(tmp_path, small_cfg)) == EXIT_INFEASIBLE
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ParallelChordsError("internal"), WaistInfeasibleError("internal", deficit=1.0)],
+    ids=type,
+)
+def test_internal_error_propagates(tmp_path, small_cfg, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(sim, "place_acoc", fail)
+    with pytest.raises(type(error)):
+        main(_sweep_args(tmp_path, small_cfg))

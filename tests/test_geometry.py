@@ -75,6 +75,47 @@ def test_parallel_chords_rejected():
         bisector_intersection((0, 0), (4, 0), (1, 5), (7, 5))
 
 
+def _rotated_rectangle(center, half_u, half_v, angle):
+    """Corners in cycle order; chords (0, 1) and (2, 3) are opposite sides."""
+    u = np.array([math.cos(angle), math.sin(angle)])
+    v = np.array([-u[1], u[0]])
+    c = np.asarray(center, dtype=float)
+    return [
+        c - half_u * u - half_v * v,
+        c + half_u * u - half_v * v,
+        c + half_u * u + half_v * v,
+        c - half_u * u + half_v * v,
+    ]
+
+
+def test_coincident_bisectors_give_point_nearest_midpoints():
+    # isosceles trapezoid: both bisectors are the line x = 2, and the point
+    # returned is the midpoint of the chord midpoints (2, 0) and (2, 3)
+    f = bisector_intersection((0.0, 0.0), (4.0, 0.0), (1.0, 3.0), (3.0, 3.0))
+    assert (f.x, f.y) == pytest.approx((2.0, 1.5), abs=1e-12)
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        center = rng.uniform(-100.0, 100.0, 2)
+        pts = _rotated_rectangle(
+            center, rng.uniform(0.5, 6.0), rng.uniform(0.5, 6.0), rng.uniform(0.0, math.tau)
+        )
+        f = bisector_intersection(*pts)
+        assert (f.x, f.y) == pytest.approx(tuple(center), abs=1e-9)
+        d = [math.hypot(f.x - p[0], f.y - p[1]) for p in pts]
+        assert abs(d[0] - d[1]) <= 1e-9 and abs(d[2] - d[3]) <= 1e-9
+
+
+def test_distinct_parallel_bisectors_rejected():
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        angle = rng.uniform(0.0, math.tau)
+        pts = _rotated_rectangle(rng.uniform(-100.0, 100.0, 2), 3.0, 2.0, angle)
+        # slide the second chord along itself: still parallel, bisector moved
+        shift = rng.uniform(0.01, 5.0) * np.array([math.cos(angle), math.sin(angle)])
+        with pytest.raises(ParallelChordsError):
+            bisector_intersection(pts[0], pts[1], pts[2] + shift, pts[3] + shift)
+
+
 def test_degenerate_chord_rejected():
     with pytest.raises(DegenerateChordError):
         bisector_intersection((2, 2), (2, 2), (0, 0), (1, 1))

@@ -102,16 +102,19 @@ def test_greedy_finds_isolated_near_square():
     assert ex.angle_square_diff == pytest.approx(sel.angle_square_diff, rel=1e-9)
 
 
-def test_exact_square_is_unplaceable_for_greedy():
-    # paired opposite sides of a perfect square are parallel chords, so the
-    # closed-form station position does not exist; greedy must pass it over
+def test_exact_square_is_selected_by_greedy():
+    # paired opposite sides of a perfect square are parallel chords whose
+    # bisectors coincide; the aligned station sits on that common line, at
+    # the square's center, so the zero-deviation quad is the greedy's pick
     users = np.vstack(
         [_square_users(6.0, offset=(80.0, 80.0)), np.array([[20.0, 30.0], [25.0, 18.0], [40.0, 44.0], [12.0, 50.0]])]
     )
-    assert greedy_select(users, CFG, LAM, MODE, center=(50.0, 50.0)) is None
-    # the bounds screen alone has no placement notion and accepts it
+    sel = greedy_select(users, CFG, LAM, MODE, center=(50.0, 50.0))
+    assert sel is not None
+    assert set(sel.indices()) == {0, 1, 2, 3}
+    assert sel.angle_square_diff == pytest.approx(0.0, abs=1e-18)
+    assert (sel.chord1, sel.chord2) == (6.0, 6.0)
     ex = exhaustive_select(users, CFG, LAM, MODE)
-    assert ex is not None
     assert ex.angle_square_diff == pytest.approx(0.0, abs=1e-18)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from oamcoop.errors import InfeasiblePlacementError, InfeasibleScenarioError
 from oamcoop.geometry import bisector_intersection
-from oamcoop.link import LinkConfig
+from oamcoop.link import LinkConfig, evaluate_link
 from oamcoop.selection import CugSelection, SelectionConfig
 from oamcoop.sim import (
     FLAG_NO_SELECTION,
@@ -53,6 +53,8 @@ def test_config_validation():
         ScenarioConfig(hotspot_side=0.0)
     with pytest.raises(ValueError):
         ScenarioConfig(user_count=0)
+    with pytest.raises(ValueError):
+        ScenarioConfig(user_count=3)
     with pytest.raises(ValueError):
         ScenarioConfig(trials=0)
     with pytest.raises(ValueError):
@@ -99,6 +101,20 @@ def test_place_acoc_sits_on_equidistant_point():
     assert pl.distances[0] == pytest.approx(
         math.dist((f.x, f.y, 50.0), (m1[0], m1[1], 0.0)), rel=1e-12
     )
+
+
+def test_place_acoc_on_exact_rectangle():
+    # pairs on opposite sides of a rectangle: the chord bisectors coincide,
+    # and the station goes to the rectangle's center on that common line
+    users = np.array([[47.0, 48.0], [53.0, 48.0], [53.0, 52.0], [47.0, 52.0]])
+    diag = math.hypot(6.0, 4.0)
+    sel = CugSelection((0, 1), (2, 3), 6.0, 6.0, diag, diag, 0.0)
+    pl = place_acoc(users, sel, 50.0, 0.2998, 1)
+    np.testing.assert_allclose(pl.position, (50.0, 50.0, 50.0), rtol=0, atol=1e-12)
+    assert pl.distances[0] == pytest.approx(pl.distances[1], rel=1e-12)
+    report = evaluate_link(LinkConfig(), pl, sel, users)
+    assert report.flags == ()
+    assert report.se_total > 0.0
 
 
 def test_place_acoc_rechecks_ring_floor_at_true_distance():
