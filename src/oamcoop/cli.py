@@ -266,6 +266,8 @@ def main(argv=None) -> int:
                 values = [float(v) for v in raw_values]
             except ValueError as exc:
                 raise ConfigError(f"bad axis value in {args.values!r}") from exc
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"axis values must be finite: {args.values!r}")
             if args.axis == "users":
                 if any(v != int(v) or v < 1 for v in values):
                     raise ConfigError("user counts must be positive integers")

@@ -61,6 +61,11 @@ def chord_midpoint(p, q) -> GroundPoint:
     return GroundPoint(0.5 * (px + qx), 0.5 * (py + qy))
 
 
+def _dot(a, b):
+    """Dot products over the last axis, rounded as numpy's ``@`` rounds a single one."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def bisector_intersection(u1, u2, u3, u4) -> GroundPoint:
     """Intersection of the perpendicular bisectors of chords (u1,u2) and (u3,u4).
 
@@ -70,42 +75,44 @@ def bisector_intersection(u1, u2, u3, u4) -> GroundPoint:
     coincide (a rectangle or an isosceles trapezoid) have a whole line of
     such points; the one nearest the midpoint of the two chord midpoints is
     returned.  Raises ParallelChordsError when the chords are parallel and
-    their bisectors are distinct.
+    their bisectors are distinct, DegenerateChordError when a chord has
+    coincident endpoints.  The points broadcast over leading axes; a batch
+    returns a GroundPoint of arrays, NaN where a single call would raise.
     """
-    p1 = np.asarray(u1, dtype=float)
-    q1 = np.asarray(u2, dtype=float)
-    p2 = np.asarray(u3, dtype=float)
-    q2 = np.asarray(u4, dtype=float)
-    d1 = q1 - p1
-    d2 = q2 - p2
-    len1 = math.hypot(d1[0], d1[1])
-    len2 = math.hypot(d2[0], d2[1])
-    if len1 == 0.0 or len2 == 0.0:
-        raise DegenerateChordError("degenerate chord: endpoints coincide")
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(det) < PARALLEL_TOL * len1 * len2:
-        m1 = 0.5 * (p1 + q1)
-        gap = 0.5 * (p2 + q2) - m1
-        # The bisectors coincide iff chord 2's midpoint lies on chord 1's bisector.
-        offset = float(d1 @ gap)
-        if abs(offset) > PARALLEL_TOL * len1 * max(len1, len2, math.hypot(*gap)):
+    p1, q1, p2, q2 = (np.asarray(u, dtype=float) for u in (u1, u2, u3, u4))
+    d1, d2 = q1 - p1, q2 - p2
+    len1, len2 = np.hypot(d1[..., 0], d1[..., 1]), np.hypot(d2[..., 0], d2[..., 1])
+    degenerate = (len1 == 0.0) | (len2 == 0.0)
+    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    parallel = np.abs(det) < PARALLEL_TOL * len1 * len2
+    m1 = 0.5 * (p1 + q1)
+    gap = 0.5 * (p2 + q2) - m1
+    # The bisectors coincide iff chord 2's midpoint lies on chord 1's bisector.
+    offset = _dot(d1, gap)
+    scale = np.maximum(np.maximum(len1, len2), np.hypot(gap[..., 0], gap[..., 1]))
+    apart = np.abs(offset) > PARALLEL_TOL * len1 * scale
+    b1 = 0.5 * (_dot(q1, q1) - _dot(p1, p1))
+    b2 = 0.5 * (_dot(q2, q2) - _dot(p2, p2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nearest = m1 + 0.5 * gap - d1 * (0.5 * offset / (len1 * len1))[..., None]
+        x = np.where(parallel, nearest[..., 0], (b1 * d2[..., 1] - b2 * d1[..., 1]) / det)
+        y = np.where(parallel, nearest[..., 1], (d1[..., 0] * b2 - d2[..., 0] * b1) / det)
+    bad = degenerate | (parallel & apart)
+    if np.ndim(bad) == 0:
+        if degenerate:
+            raise DegenerateChordError("degenerate chord: endpoints coincide")
+        if bad:
             raise ParallelChordsError("no intersection: chords are parallel")
-        x, y = m1 + 0.5 * gap - d1 * (0.5 * offset / (len1 * len1))
         return GroundPoint(float(x), float(y))
-    b1 = 0.5 * (float(q1 @ q1) - float(p1 @ p1))
-    b2 = 0.5 * (float(q2 @ q2) - float(p2 @ p2))
-    x = (b1 * d2[1] - b2 * d1[1]) / det
-    y = (d1[0] * b2 - d2[0] * b1) / det
-    return GroundPoint(float(x), float(y))
+    return GroundPoint(np.where(bad, np.nan, x), np.where(bad, np.nan, y))
 
 
-def transmission_distance(position, midpoint) -> float:
-    """Slant distance from an elevated position to a ground chord midpoint."""
-    px, py, pz = (float(position[0]), float(position[1]), float(position[2]))
-    if not pz > 0.0:
+def transmission_distance(position, midpoint):
+    """Slant distance from elevated positions to ground chord midpoints (broadcasting)."""
+    p, m = np.asarray(position, dtype=float), np.asarray(midpoint, dtype=float)
+    if not np.all(p[..., 2] > 0.0):
         raise ValueError("station height must be positive")
-    mx, my = float(midpoint[0]), float(midpoint[1])
-    return math.sqrt((px - mx) ** 2 + (py - my) ** 2 + pz * pz)
+    return np.sqrt((p[..., 0] - m[..., 0]) ** 2 + (p[..., 1] - m[..., 1]) ** 2 + p[..., 2] ** 2)[()]
 
 
 def aim_at_midpoints(position, m1, m2) -> Placement:
@@ -152,22 +159,57 @@ def beam_frame_coords(position, axis, point) -> BeamFrameCoords:
     )
 
 
-def _orient(a, b, c) -> float:
-    """Twice the signed area of triangle (a, b, c)."""
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+# Reasons a cycle of four points is not a simple quadrilateral, by defect code.
+NOT_SIMPLE = ("", "repeated vertex", "collinear triple", "opposite sides cross")
 
 
-def _proper_cross(p1, p2, p3, p4, eps) -> bool:
-    """True when segments (p1,p2) and (p3,p4) cross at an interior point."""
-    d1 = _orient(p3, p4, p1)
-    d2 = _orient(p3, p4, p2)
-    d3 = _orient(p1, p2, p3)
-    d4 = _orient(p1, p2, p4)
-    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
-        (d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)
-    ):
-        return True
-    return False
+def quad_angles(vertices):
+    """Interior angles and simplicity defects of quadrilaterals (..., 4, 2).
+
+    Returns ``(angles, defect)``: the interior angles (..., 4) in radians at
+    each vertex in cycle order, NaN where the cycle is not simple, and an
+    integer code (...) indexing NOT_SIMPLE, 0 for a simple quadrilateral.  A
+    reflex vertex reports an angle above pi; the four angles sum to 2*pi.
+    """
+    v = np.asarray(vertices, dtype=float)
+    if v.shape[-2:] != (4, 2):
+        raise ValueError("expected four 2D vertices")
+    x, y = ([v[..., i, k] for i in range(4)] for k in (0, 1))
+
+    def orient(a, b, c):
+        """Twice the signed area of triangle (a, b, c), by vertex number."""
+        return (x[b] - x[a]) * (y[c] - y[a]) - (y[b] - y[a]) * (x[c] - x[a])
+
+    def split(d1, d2):
+        """Signed areas strictly on either side of zero."""
+        return ((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))
+
+    def crosses(a, b, c, d):
+        """Segments (a, b) and (c, d) cross: each splits the other's ends."""
+        return split(orient(c, d, a), orient(c, d, b)) & split(orient(a, b, c), orient(a, b, d))
+
+    cx = (x[0] + x[1] + x[2] + x[3]) / 4.0
+    cy = (y[0] + y[1] + y[2] + y[3]) / 4.0
+    span = np.maximum.reduce([np.maximum(np.abs(x[i] - cx), np.abs(y[i] - cy)) for i in range(4)])
+    span = np.where(span == 0.0, 1.0, span)
+    eps = PARALLEL_TOL * span * span
+    repeated = np.logical_or.reduce(
+        [(x[i] == x[j]) & (y[i] == y[j]) for i in range(4) for j in range(i + 1, 4)]
+    )
+    turns = [orient(i - 1, i, (i + 1) % 4) for i in range(4)]
+    collinear = np.logical_or.reduce([np.abs(t) <= eps for t in turns])
+    crossing = crosses(0, 1, 2, 3) | crosses(1, 2, 3, 0)
+    defect = np.where(repeated, 1, np.where(collinear, 2, np.where(crossing, 3, 0)))
+    # Shoelace sign fixes the traversal orientation; interior angle at a
+    # vertex is pi minus the signed turn taken there.
+    sign = np.where(turns[1] + orient(0, 2, 3) > 0.0, 1.0, -1.0)
+    angles = np.empty(v.shape[:-1])
+    for i in range(4):
+        dinx, diny = x[i] - x[i - 1], y[i] - y[i - 1]
+        doutx, douty = x[(i + 1) % 4] - x[i], y[(i + 1) % 4] - y[i]
+        turn = np.arctan2(dinx * douty - diny * doutx, dinx * doutx + diny * douty)
+        angles[..., i] = np.where(defect == 0, math.pi - sign * turn, np.nan)
+    return angles, defect
 
 
 def quad_inner_angles(vertices) -> np.ndarray:
@@ -176,56 +218,19 @@ def quad_inner_angles(vertices) -> np.ndarray:
     Returns the four interior angles (radians) at each vertex in order.  A
     reflex vertex of a concave cycle reports an angle above pi; the four
     angles always sum to 2*pi.  Repeated vertices, collinear triples, and
-    self-intersecting cycles raise NotSimpleQuadrilateralError.
+    self-intersecting cycles raise NotSimpleQuadrilateralError.  A batch
+    (..., 4, 2) returns NaN angles for those cycles instead (quad_angles).
     """
-    v = np.asarray(vertices, dtype=float)
-    if v.shape != (4, 2):
-        raise ValueError("expected four 2D vertices")
-    # Scalar math throughout: this sits in the selection hot loop and numpy
-    # overhead on 4x2 arrays dominates otherwise.
-    pts = v.tolist()
-    cx = (pts[0][0] + pts[1][0] + pts[2][0] + pts[3][0]) / 4.0
-    cy = (pts[0][1] + pts[1][1] + pts[2][1] + pts[3][1]) / 4.0
-    span = max(max(abs(p[0] - cx), abs(p[1] - cy)) for p in pts) or 1.0
-    eps = PARALLEL_TOL * span * span
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if pts[i][0] == pts[j][0] and pts[i][1] == pts[j][1]:
-                raise NotSimpleQuadrilateralError(
-                    "not a simple quadrilateral: repeated vertex"
-                )
-    for i in range(4):
-        if abs(_orient(pts[i - 1], pts[i], pts[(i + 1) % 4])) <= eps:
-            raise NotSimpleQuadrilateralError(
-                "not a simple quadrilateral: collinear triple"
-            )
-    if _proper_cross(pts[0], pts[1], pts[2], pts[3], eps) or _proper_cross(
-        pts[1], pts[2], pts[3], pts[0], eps
-    ):
-        raise NotSimpleQuadrilateralError(
-            "not a simple quadrilateral: opposite sides cross"
-        )
-    # Shoelace sign fixes the traversal orientation; interior angle at a
-    # vertex is pi minus the signed turn taken there.
-    area2 = _orient(pts[0], pts[1], pts[2]) + _orient(pts[0], pts[2], pts[3])
-    orient = 1.0 if area2 > 0.0 else -1.0
-    angles = []
-    for i in range(4):
-        ax, ay = pts[i - 1]
-        bx, by = pts[i]
-        qx, qy = pts[(i + 1) % 4]
-        dinx, diny = bx - ax, by - ay
-        doutx, douty = qx - bx, qy - by
-        turn = math.atan2(dinx * douty - diny * doutx, dinx * doutx + diny * douty)
-        angles.append(math.pi - orient * turn)
-    return np.array(angles)
+    angles, defect = quad_angles(vertices)
+    if defect.ndim == 0 and defect:
+        raise NotSimpleQuadrilateralError(f"not a simple quadrilateral: {NOT_SIMPLE[defect]}")
+    return angles
 
 
-def angle_square_difference(angles) -> float:
-    """Sum of squared deviations of the four angles from a right angle."""
+def angle_square_difference(angles):
+    """Sum of squared deviations of the four angles (..., 4) from a right angle."""
     a = np.asarray(angles, dtype=float)
-    if a.shape != (4,):
+    if a.shape[-1:] != (4,):
         raise ValueError("expected four angles")
-    t = a.tolist()
-    h = 0.5 * math.pi
-    return (t[0] - h) ** 2 + (t[1] - h) ** 2 + (t[2] - h) ** 2 + (t[3] - h) ** 2
+    d = a - 0.5 * math.pi
+    return (d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2 + d[..., 3] ** 2)[()]

@@ -11,23 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .beam import feasible_ring_radius
-from .errors import (
-    DegenerateChordError,
-    InsufficientUsersError,
-    NotSimpleQuadrilateralError,
-    OracleSizeError,
-    ParallelChordsError,
-)
+from .errors import InsufficientUsersError, OracleSizeError
 from .geometry import (
     angle_square_difference,
     bisector_intersection,
-    quad_inner_angles,
+    quad_angles,
     transmission_distance,
 )
 
@@ -94,42 +88,67 @@ class CugSelection:
         return self.cug1 + self.cug2
 
 
-def planning_distance(min_height: float, chord: float) -> float:
+def planning_distance(min_height: float, chord):
     """Transmission-distance estimate before a station position exists.
 
     The station can come no closer to a chord midpoint than its minimum
     height; the chord half-length adds the in-plane reach.
     """
-    return math.sqrt(min_height * min_height + 0.25 * chord * chord)
+    return np.sqrt(min_height * min_height + 0.25 * chord * chord)
 
 
-def chord_floor(distance: float, wavelength: float, mode: int) -> float:
+def chord_floor(distance, wavelength: float, mode: int):
     """Smallest usable chord at a transmission distance: the ring diameter floor."""
-    return 2.0 * float(feasible_ring_radius(wavelength, mode, distance))
+    return 2.0 * feasible_ring_radius(wavelength, mode, distance)
 
 
-def _check_bounds(chord1, chord2, diag1, diag2, cfg, wavelength, mode) -> ConstraintCheck:
-    diameter = 2.0 * cfg.service_radius
-    worst_diag = max(diag1, diag2)
-    if worst_diag > diameter:
-        return ConstraintCheck(
-            False, "diagonal exceeds service diameter", worst_diag - diameter
-        )
-    for label, chord in (("cug1", chord1), ("cug2", chord2)):
-        if chord > cfg.max_pair_distance:
-            return ConstraintCheck(
-                False,
-                f"{label} chord exceeds max pair distance",
-                chord - cfg.max_pair_distance,
-            )
-        floor = chord_floor(
-            planning_distance(cfg.min_height, chord), wavelength, mode
-        )
-        if chord < floor:
-            return ConstraintCheck(
-                False, f"{label} chord below feasible ring diameter", floor - chord
-            )
-    return ConstraintCheck(True)
+# The constraint screen's bounds, in the order a candidate is screened.
+BOUND_REASONS = (
+    "diagonal exceeds service diameter",
+    "cug1 chord exceeds max pair distance",
+    "cug1 chord below feasible ring diameter",
+    "cug2 chord exceeds max pair distance",
+    "cug2 chord below feasible ring diameter",
+)
+
+
+def bound_excess(chord1, chord2, diag1, diag2, cfg: SelectionConfig, wavelength: float, mode: int):
+    """How far candidates overshoot each bound, (..., 5) in BOUND_REASONS order.
+
+    Bounds are inclusive: only a positive excess breaks one.  Chord floors
+    are taken at the planning distance.
+    """
+    floors = chord_floor(
+        planning_distance(cfg.min_height, np.stack((chord1, chord2))), wavelength, mode
+    )
+    return np.stack(
+        (
+            np.maximum(diag1, diag2) - 2.0 * cfg.service_radius,
+            chord1 - cfg.max_pair_distance,
+            floors[0] - chord1,
+            chord2 - cfg.max_pair_distance,
+            floors[1] - chord2,
+        ),
+        axis=-1,
+    )
+
+
+def _cycle_lengths(quads):
+    """Chords (u1,u2), (u3,u4) and diagonals (u1,u3), (u2,u4) of cycles (..., 4, 2)."""
+    d = quads[..., [1, 3, 2, 3], :] - quads[..., [0, 2, 0, 1], :]
+    return np.moveaxis(np.hypot(d[..., 0], d[..., 1]), -1, 0)
+
+
+def _selection(pos, cycle, psi) -> CugSelection:
+    """The CugSelection of one cycle, its lengths from math.hypot."""
+    i1, i2, i3, i4 = (int(i) for i in cycle)
+
+    def dist(a, b):
+        return math.hypot(pos[a, 0] - pos[b, 0], pos[a, 1] - pos[b, 1])
+
+    return CugSelection(
+        (i1, i2), (i3, i4), dist(i1, i2), dist(i3, i4), dist(i1, i3), dist(i2, i4), float(psi)
+    )
 
 
 def check_constraints(indices, users, cfg: SelectionConfig, wavelength: float, mode: int) -> ConstraintCheck:
@@ -142,52 +161,152 @@ def check_constraints(indices, users, cfg: SelectionConfig, wavelength: float, m
     if len({i1, i2, i3, i4}) != 4:
         raise ValueError("candidate indices must be distinct")
     pos = np.asarray(getattr(users, "positions", users), dtype=float)
-
-    def dist(a, b):
-        return math.hypot(pos[a, 0] - pos[b, 0], pos[a, 1] - pos[b, 1])
-
-    return _check_bounds(
-        dist(i1, i2),
-        dist(i3, i4),
-        dist(i1, i3),
-        dist(i2, i4),
-        cfg,
-        wavelength,
-        mode,
-    )
+    excess = bound_excess(*_cycle_lengths(pos[[i1, i2, i3, i4]]), cfg, wavelength, mode)
+    broken = np.flatnonzero(excess > 0.0)
+    if broken.size:
+        k = int(broken[0])
+        return ConstraintCheck(False, BOUND_REASONS[k], float(excess[k]))
+    return ConstraintCheck(True)
 
 
-def _aligned_station_ok(quad, chord1, chord2, cfg, wavelength, mode) -> bool:
-    """Re-verify the chord floors at the true distances of the aligned station."""
-    try:
-        fx, fy = bisector_intersection(quad[0], quad[1], quad[2], quad[3])
-    except (ParallelChordsError, DegenerateChordError):
-        return False
-    station = (fx, fy, cfg.min_height)
-    m1 = (0.5 * (quad[0, 0] + quad[1, 0]), 0.5 * (quad[0, 1] + quad[1, 1]))
-    m2 = (0.5 * (quad[2, 0] + quad[3, 0]), 0.5 * (quad[2, 1] + quad[3, 1]))
-    z1 = transmission_distance(station, m1)
-    z2 = transmission_distance(station, m2)
-    return chord1 >= chord_floor(z1, wavelength, mode) and chord2 >= chord_floor(
-        z2, wavelength, mode
-    )
+def aligned_floors(quads, height: float, wavelength: float, mode: int):
+    """Aligned station (..., 3) of cycles (u1, u2, u3, u4) and each pair's ring floor there.
+
+    The station is at ``height`` above the intersection of the chord
+    bisectors; the floors (..., 2) are taken at its true distances to the
+    chord midpoints.  One cycle (4, 2) raises as bisector_intersection does;
+    a batch gets NaN where the bisectors do not meet.
+    """
+    q = np.asarray(quads, dtype=float)
+    fx, fy = bisector_intersection(*np.moveaxis(q, -2, 0))
+    station = np.stack(np.broadcast_arrays(fx, fy, height), axis=-1)
+    midpoints = 0.5 * (q[..., 0::2, :] + q[..., 1::2, :])
+    distances = transmission_distance(station[..., None, :], midpoints)
+    return station, chord_floor(distances, wavelength, mode)
+
+
+# Mean active users per cell each time the anchor walk builds its grid.
+CELL_OCCUPANCY = 2.0
+
+
+def _cell_grid(pos, members):
+    """(cells, origin, h, nx): users ``members`` in cells of side h, rows of nx cells.
+
+    About CELL_OCCUPANCY users per cell; users on one line or at one point
+    still get h > 0 and O(len(members)) cells.
+    """
+    p = pos[members]
+    lo = p.min(axis=0)
+    sx, sy = (p.max(axis=0) - lo).tolist()
+    m = len(members)
+    h = max(math.sqrt(sx * sy * CELL_OCCUPANCY / m), max(sx, sy) * CELL_OCCUPANCY / m) or 1.0
+    c = ((p - lo) / h).astype(np.intp)
+    nx, ny = (c.max(axis=0) + 1).tolist()
+    cid = (c[:, 1] * nx + c[:, 0]).tolist()
+    cells = [[] for _ in range(nx * ny)]
+    for j, k in zip(members.tolist(), cid):
+        cells[k].append(j)
+    return cells, lo.tolist(), h, nx
+
+
+def anchor_walk(positions, start: int) -> np.ndarray:
+    """The greedy walk's rounds (anchor, n1, n2, n3), shape (U - 3, 4).
+
+    Each round retires its anchor and records the anchor's three nearest
+    active users, ranked by (squared distance, user index); n1 anchors the
+    next round.  Nearest users come from a ring search on a uniform cell
+    grid: after the rings 0..k of cells around the anchor's cell, an unseen
+    user is farther than k cell sides plus the anchor's distance to its own
+    cell's nearest edge, so the search stops once three users lie nearer
+    than that, less a margin far above cell-assignment rounding.  The grid
+    is rebuilt, coarser, each time half of its users have retired.
+    """
+    pos = np.asarray(positions, dtype=float)
+    xs, ys = pos.T.tolist()
+    rounds = np.empty((len(pos) - 3, 4), dtype=np.intp)
+    members = np.arange(len(pos))
+    anchor = start
+    r = 0
+    while r < len(rounds):
+        cells, (x0, y0), h, nx = _cell_grid(pos, members)
+        ny = len(cells) // nx
+        active = len(members)
+        while r < len(rounds) and 2 * active >= len(members):
+            ax, ay = xs[anchor], ys[anchor]
+            # The cell index as _cell_grid computes it, and the offset within the cell.
+            tx, ty = (ax - x0) / h, (ay - y0) / h
+            cx, cy = int(tx), int(ty)
+            cells[cy * nx + cx].remove(anchor)
+            active -= 1
+            edge = min(tx - cx, 1.0 + cx - tx, ty - cy, 1.0 + cy - ty) - 1e-6
+            reach = max(cx, nx - 1 - cx, cy, ny - 1 - cy)
+            near = []
+            k = 0
+            while True:
+                x_lo, x_hi = max(cx - k, 0), min(cx + k, nx - 1)
+                y_lo, y_hi = max(cy - k + 1, 0), min(cy + k - 1, ny - 1)
+                ring = []
+                for y in {cy - k, cy + k}:
+                    if 0 <= y < ny:
+                        ring += cells[y * nx + x_lo : y * nx + x_hi + 1]
+                for x in {cx - k, cx + k}:
+                    if 0 <= x < nx and y_lo <= y_hi:
+                        ring += cells[y_lo * nx + x : y_hi * nx + x + 1 : nx]
+                for cell in ring:
+                    for j in cell:
+                        dx = xs[j] - ax
+                        dy = ys[j] - ay
+                        near.append((dx * dx + dy * dy, j))
+                near.sort()
+                bound = (k + edge) * h
+                if k >= reach or (len(near) >= 3 and bound > 0.0 and near[2][0] < bound * bound):
+                    break
+                k += 1
+            rounds[r] = (anchor, near[0][1], near[1][1], near[2][1])
+            r += 1
+            anchor = near[0][1]
+        members = np.fromiter(chain.from_iterable(cells), dtype=np.intp)
+    return rounds
+
+
+# Rounds scored per vectorised batch: it bounds the scoring's temporaries,
+# which for all 4000 rounds at once raised peak RSS by about 1 MB.
+SCORE_BATCH = 512
+
+
+def _score_rounds(pos, rounds, cfg: SelectionConfig, wavelength: float, mode: int):
+    """Squared right-angle deviation of each round's candidate, inf where infeasible.
+
+    Rewrites each round (anchor, n1, n2, n3) in place as its candidate cycle:
+    the second pair in nearest-rank order, reversed only if that is not simple.
+    A candidate is feasible when it is simple and passes the constraint bounds
+    and the chord floors at the true distances of its aligned station.
+    """
+    angles, defect = quad_angles(pos[rounds])
+    flip = np.flatnonzero(defect)
+    rounds[flip] = rounds[flip][:, [0, 1, 3, 2]]
+    angles[flip] = quad_angles(pos[rounds[flip]])[0]
+    psi = angle_square_difference(angles)
+    quads = pos[rounds]
+    chord1, chord2, diag1, diag2 = _cycle_lengths(quads)
+    excess = bound_excess(chord1, chord2, diag1, diag2, cfg, wavelength, mode)
+    ok = ~np.isnan(psi) & np.all(excess <= 0.0, axis=-1)
+    _, floors = aligned_floors(quads[ok], cfg.min_height, wavelength, mode)
+    ok[ok] = (chord1[ok] >= floors[:, 0]) & (chord2[ok] >= floors[:, 1])
+    return np.where(ok, psi, np.inf)
 
 
 def greedy_select(users, cfg: SelectionConfig, wavelength: float, mode: int, center=None):
     """Boundary-first iterative selection; returns the best CugSelection or None.
 
-    The anchor starts at the user farthest from ``center`` (hotspot center;
-    bounding-box center of the drop when omitted).  Each round pairs the
-    anchor with its nearest neighbor and the second/third nearest users as
-    the other pair, closes the four users into a simple quadrilateral
-    (trying both traversal directions of the second pair), screens it with
-    the constraint bounds, and re-verifies the chord floors at the true
-    distances of the aligned station before the candidate may replace the
-    incumbent (strictly lower squared right-angle deviation).  The anchor
-    is then retired and its nearest neighbor becomes the next anchor;
-    distance ties go to the lowest user index.  Stops when the incumbent
-    deviation reaches the stop threshold or fewer than four users remain,
-    so at most U - 3 rounds run.
+    The walk (anchor_walk) starts at the user farthest from ``center``
+    (hotspot center; bounding-box center of the drop when omitted); each of
+    its U - 3 rounds pairs the anchor with its nearest neighbor and the
+    second/third nearest users as the other pair.  The rounds are then
+    scored in vectorised batches (_score_rounds).  The result is the first
+    feasible round whose deviation reaches the stop threshold, else the
+    first of least deviation: the incumbent of a walk that keeps strict
+    improvements and stops at the threshold.
     """
     pos = np.asarray(getattr(users, "positions", users), dtype=float)
     n = len(pos)
@@ -198,68 +317,14 @@ def greedy_select(users, cfg: SelectionConfig, wavelength: float, mode: int, cen
         hi = pos.max(axis=0)
         center = (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))
     cx, cy = float(center[0]), float(center[1])
+    from_center = (pos[:, 0] - cx) ** 2 + (pos[:, 1] - cy) ** 2
+    rounds = anchor_walk(pos, int(np.argmax(from_center)))  # first maximum: lowest index
 
-    work = np.array(pos, dtype=float)  # compact array of active users
-    ids = np.arange(n)
-    count = n
-    from_center = (work[:, 0] - cx) ** 2 + (work[:, 1] - cy) ** 2
-    cur = int(np.argmax(from_center))  # first maximum = lowest index on ties
-
-    best = None
-    best_psi = math.inf
-    while count > 3 and best_psi > cfg.stop_threshold:
-        x1 = work[cur, 0]
-        y1 = work[cur, 1]
-        dx = work[:count, 0] - x1
-        dy = work[:count, 1] - y1
-        d2 = dx * dx + dy * dy
-        d2[cur] = np.inf
-        k = min(8, count - 1)
-        near = np.argpartition(d2, k - 1)[:k]
-        near = sorted(near.tolist(), key=lambda w: (d2[w], ids[w]))
-        u2w = near[0]
-
-        # The pair split is fixed by nearest rank; the second pair's traversal
-        # direction is not.  Exactly one direction generally closes the four
-        # users into a simple quadrilateral (both fail when the chords cross),
-        # so take the first one that does.
-        for u3w, u4w in ((near[1], near[2]), (near[2], near[1])):
-            x2, y2 = work[u2w, 0], work[u2w, 1]
-            x3, y3 = work[u3w, 0], work[u3w, 1]
-            x4, y4 = work[u4w, 0], work[u4w, 1]
-            quad = np.array(((x1, y1), (x2, y2), (x3, y3), (x4, y4)))
-            try:
-                psi = float(angle_square_difference(quad_inner_angles(quad)))
-            except NotSimpleQuadrilateralError:
-                continue
-            chord1 = math.hypot(x2 - x1, y2 - y1)
-            chord2 = math.hypot(x4 - x3, y4 - y3)
-            diag1 = math.hypot(x3 - x1, y3 - y1)
-            diag2 = math.hypot(x4 - x2, y4 - y2)
-            if (
-                psi < best_psi
-                and _check_bounds(chord1, chord2, diag1, diag2, cfg, wavelength, mode).ok
-                and _aligned_station_ok(quad, chord1, chord2, cfg, wavelength, mode)
-            ):
-                best = CugSelection(
-                    (int(ids[cur]), int(ids[u2w])),
-                    (int(ids[u3w]), int(ids[u4w])),
-                    chord1,
-                    chord2,
-                    diag1,
-                    diag2,
-                    psi,
-                )
-                best_psi = psi
-            break
-        # Retire the anchor (swap-remove), advance to its nearest neighbor.
-        last = count - 1
-        nxt = cur if u2w == last else u2w
-        work[cur] = work[last]
-        ids[cur] = ids[last]
-        count = last
-        cur = nxt
-    return best
+    batches = np.split(rounds, range(SCORE_BATCH, len(rounds), SCORE_BATCH))  # views
+    psi = np.concatenate([_score_rounds(pos, b, cfg, wavelength, mode) for b in batches])
+    reached = np.flatnonzero(psi <= cfg.stop_threshold)
+    w = int(reached[0]) if reached.size else int(np.argmin(psi))
+    return _selection(pos, rounds[w], psi[w]) if psi[w] < math.inf else None
 
 
 def _canonical_cycle(cycle):
@@ -286,33 +351,15 @@ def exhaustive_select(users, cfg: SelectionConfig, wavelength: float, mode: int)
         raise OracleSizeError(
             f"instance too large for oracle: {n} users > {MAX_ORACLE_USERS}"
         )
-
-    def dist(a, b):
-        return math.hypot(pos[a, 0] - pos[b, 0], pos[a, 1] - pos[b, 1])
-
+    subsets = np.array(list(combinations(range(n), 4)))
+    cycles = subsets[:, [[0, 1, 2, 3], [0, 1, 3, 2], [0, 2, 1, 3]]].reshape(-1, 4)
+    angles, defect = quad_angles(pos[cycles])
+    psi = angle_square_difference(angles)
     best = None
-    best_key = None
-    for a, b, c, d in combinations(range(n), 4):
-        for cycle in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
-            try:
-                psi = angle_square_difference(quad_inner_angles(pos[list(cycle)]))
-            except NotSimpleQuadrilateralError:
-                continue
-            rotated = (cycle[1], cycle[2], cycle[3], cycle[0])
-            for pairing in (cycle, rotated):
-                i1, i2, i3, i4 = _canonical_cycle(pairing)
-                chord1 = dist(i1, i2)
-                chord2 = dist(i3, i4)
-                diag1 = dist(i1, i3)
-                diag2 = dist(i2, i4)
-                if not _check_bounds(
-                    chord1, chord2, diag1, diag2, cfg, wavelength, mode
-                ).ok:
-                    continue
-                key = (psi, i1, i2, i3, i4)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = CugSelection(
-                        (i1, i2), (i3, i4), chord1, chord2, diag1, diag2, float(psi)
-                    )
+    for pairing in (cycles, np.roll(cycles, -1, axis=1)):
+        excess = bound_excess(*_cycle_lengths(pos[pairing]), cfg, wavelength, mode)
+        for r in np.flatnonzero((defect == 0) & np.all(excess <= 0.0, axis=-1)):
+            cycle = _canonical_cycle(tuple(int(i) for i in pairing[r]))
+            if best is None or (psi[r], cycle) < (best.angle_square_diff, best.indices()):
+                best = _selection(pos, cycle, psi[r])
     return best

@@ -13,19 +13,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InfeasiblePlacementError, InfeasibleScenarioError
-from .geometry import (
-    Placement,
-    aim_at_midpoints,
-    bisector_intersection,
-    chord_midpoint,
-)
+from .geometry import Placement, aim_at_midpoints, chord_midpoint
 from .link import LinkConfig, LinkReport, evaluate_link, evaluate_placements
-from .selection import (
-    CugSelection,
-    SelectionConfig,
-    chord_floor,
-    greedy_select,
-)
+from .selection import CugSelection, SelectionConfig, aligned_floors, greedy_select
 
 SCHEME_ACOC = "acoc"
 SCHEME_SUBOPTIMAL = "suboptimal"
@@ -54,12 +44,12 @@ class ScenarioConfig:
     ground_bs_position: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        if not self.hotspot_side > 0.0:
-            raise ValueError("hotspot_side must be positive")
+        if not 0.0 < self.hotspot_side < math.inf:
+            raise ValueError("hotspot_side must be positive and finite")
         if self.user_count < 4:
             raise ValueError("user_count must be at least 4 (two user pairs)")
-        if not self.fbs_height > 0.0:
-            raise ValueError("fbs_height must be positive")
+        if not 0.0 < self.fbs_height < math.inf:
+            raise ValueError("fbs_height must be positive and finite")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.master_seed < 0:
@@ -149,20 +139,16 @@ def place_acoc(users, selection: CugSelection, height: float, wavelength: float,
     transmission distances; a violation raises InfeasiblePlacementError.
     """
     pos = np.asarray(getattr(users, "positions", users), dtype=float)
-    i1, i2 = selection.cug1
-    i3, i4 = selection.cug2
-    fx, fy = bisector_intersection(pos[i1], pos[i2], pos[i3], pos[i4])
-    m1, m2 = _selection_midpoints(users, selection)
-    placement = aim_at_midpoints((fx, fy, height), m1, m2)
+    station, floors = aligned_floors(pos[list(selection.indices())], height, wavelength, mode)
     chords = (selection.chord1, selection.chord2)
     for k in range(2):
-        floor = chord_floor(float(placement.distances[k]), wavelength, mode)
-        if chords[k] < floor:
+        if chords[k] < floors[k]:
             raise InfeasiblePlacementError(
                 f"cug{k + 1} chord {chords[k]:.6g} m is below the ring floor "
-                f"{floor:.6g} m at its true transmission distance"
+                f"{floors[k]:.6g} m at its true transmission distance"
             )
-    return placement
+    m1, m2 = _selection_midpoints(users, selection)
+    return aim_at_midpoints(station, m1, m2)
 
 
 def place_suboptimal(users, selection: CugSelection, height: float) -> Placement:

@@ -279,3 +279,29 @@ def test_internal_error_propagates(tmp_path, small_cfg, monkeypatch, error):
     monkeypatch.setattr(sim, "place_acoc", fail)
     with pytest.raises(type(error)):
         main(_sweep_args(tmp_path, small_cfg))
+
+
+@pytest.mark.parametrize(
+    "axis,values", [("users", "inf"), ("users", "nan"), ("height", "inf"), ("height", "nan")]
+)
+def test_sweep_rejects_non_finite_values(tmp_path, small_cfg, capsys, axis, values):
+    out = tmp_path / "s.csv"
+    rc = main(
+        [
+            "sweep", "--config", str(small_cfg), "--out", str(out),
+            "--axis", axis, "--values", f"50,{values}",
+        ]
+    )
+    assert rc == EXIT_CONFIG_ERROR
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["hotspot_side_m", "fbs_height_m"])
+def test_non_finite_config_length_rejected(tmp_path, capsys, key):
+    path = tmp_path / "inf.cfg"
+    path.write_text(f"{key} = inf\n")
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "s.csv"),
+               "--axis", "height", "--values", "50"])
+    assert rc == EXIT_CONFIG_ERROR
+    assert "finite" in capsys.readouterr().err

@@ -132,6 +132,20 @@ def test_place_acoc_rechecks_ring_floor_at_true_distance():
         place_acoc(users, sel, 50.0, 0.2998, 1)
 
 
+def test_place_acoc_names_the_pair_below_its_floor():
+    # chord 2 is comfortable, chord 1 sits just under the floor at the
+    # aligned station, the centre of this near-square
+    users = np.array([[0.0, 0.0], [4.3, 0.0], [0.0, 6.0], [4.3, 6.0]])
+    chords = (4.3, 4.3)
+    diag = math.hypot(4.3, 6.0)
+    sel = CugSelection((0, 1), (2, 3), *chords, diag, diag, 0.0)
+    with pytest.raises(
+        InfeasiblePlacementError,
+        match=r"^cug1 chord 4\.3 m is below the ring floor 4\.3\d* m at its true transmission distance$",
+    ):
+        place_acoc(users, sel, 50.0, 0.2998, 1)
+
+
 def test_place_suboptimal_hovers_over_first_pair():
     users, sel = _known_selection()
     pl = place_suboptimal(users, sel, 50.0)
