@@ -60,11 +60,9 @@ from .sim import (
     UserDrop,
     drop_users,
     place_acoc,
-    place_cow,
-    place_random,
-    place_suboptimal,
     run_experiment,
     run_trial,
+    scheme_station,
     se_heatmap,
     select_users,
     summarize,

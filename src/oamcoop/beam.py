@@ -47,9 +47,6 @@ class BeamSpec:
     def rayleigh_range(self) -> float:
         return math.pi * self.waist**2 / self.wavelength
 
-    def radius_at(self, z) -> float:
-        return beam_radius(self, z)
-
 
 @dataclass(frozen=True)
 class RingTarget:

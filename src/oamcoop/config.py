@@ -196,7 +196,7 @@ def config_echo(cfg: ScenarioConfig) -> dict:
         "selection.max_pair_distance_m": cfg.selection.max_pair_distance,
         "selection.service_radius_m": cfg.selection.service_radius,
         "selection.epsilon": cfg.selection.stop_threshold,
-        "selection.min_height_m": cfg.resolved_selection().min_height,
+        "selection.min_height_m": cfg.selection.min_height,
         "ground_bs.x_m": bs[0],
         "ground_bs.y_m": bs[1],
         "ground_bs.height_m": bs[2],

@@ -269,6 +269,21 @@ def anchor_walk(positions, start: int) -> np.ndarray:
     return rounds
 
 
+def _screen(quads, psi, cfg: SelectionConfig, wavelength: float, mode: int):
+    """Which candidate cycles (N, 4, 2), of deviations psi (N,), are feasible.
+
+    A feasible candidate is simple (finite psi), passes the constraint
+    bounds at the planning distance, and keeps both chords at or above
+    their ring floors at the true distances of its aligned station.
+    """
+    chord1, chord2, diag1, diag2 = _cycle_lengths(quads)
+    excess = bound_excess(chord1, chord2, diag1, diag2, cfg, wavelength, mode)
+    ok = ~np.isnan(psi) & np.all(excess <= 0.0, axis=-1)
+    _, floors = aligned_floors(quads[ok], cfg.min_height, wavelength, mode)
+    ok[ok] = (chord1[ok] >= floors[:, 0]) & (chord2[ok] >= floors[:, 1])
+    return ok
+
+
 # Rounds scored per vectorised batch: it bounds the scoring's temporaries,
 # which for all 4000 rounds at once raised peak RSS by about 1 MB.
 SCORE_BATCH = 512
@@ -279,28 +294,21 @@ def _score_rounds(pos, rounds, cfg: SelectionConfig, wavelength: float, mode: in
 
     Rewrites each round (anchor, n1, n2, n3) in place as its candidate cycle:
     the second pair in nearest-rank order, reversed only if that is not simple.
-    A candidate is feasible when it is simple and passes the constraint bounds
-    and the chord floors at the true distances of its aligned station.
+    Feasibility is the candidate screen (_screen).
     """
     angles, defect = quad_angles(pos[rounds])
     flip = np.flatnonzero(defect)
     rounds[flip] = rounds[flip][:, [0, 1, 3, 2]]
     angles[flip] = quad_angles(pos[rounds[flip]])[0]
     psi = angle_square_difference(angles)
-    quads = pos[rounds]
-    chord1, chord2, diag1, diag2 = _cycle_lengths(quads)
-    excess = bound_excess(chord1, chord2, diag1, diag2, cfg, wavelength, mode)
-    ok = ~np.isnan(psi) & np.all(excess <= 0.0, axis=-1)
-    _, floors = aligned_floors(quads[ok], cfg.min_height, wavelength, mode)
-    ok[ok] = (chord1[ok] >= floors[:, 0]) & (chord2[ok] >= floors[:, 1])
-    return np.where(ok, psi, np.inf)
+    return np.where(_screen(pos[rounds], psi, cfg, wavelength, mode), psi, np.inf)
 
 
-def greedy_select(users, cfg: SelectionConfig, wavelength: float, mode: int, center=None):
+def greedy_select(users, cfg: SelectionConfig, wavelength: float, mode: int, center):
     """Boundary-first iterative selection; returns the best CugSelection or None.
 
     The walk (anchor_walk) starts at the user farthest from ``center``
-    (hotspot center; bounding-box center of the drop when omitted); each of
+    (the hotspot center); each of
     its U - 3 rounds pairs the anchor with its nearest neighbor and the
     second/third nearest users as the other pair.  The rounds are then
     scored in vectorised batches (_score_rounds).  The result is the first
@@ -312,10 +320,6 @@ def greedy_select(users, cfg: SelectionConfig, wavelength: float, mode: int, cen
     n = len(pos)
     if n < 4:
         raise InsufficientUsersError("insufficient users: need at least 4")
-    if center is None:
-        lo = pos.min(axis=0)
-        hi = pos.max(axis=0)
-        center = (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))
     cx, cy = float(center[0]), float(center[1])
     from_center = (pos[:, 0] - cx) ** 2 + (pos[:, 1] - cy) ** 2
     rounds = anchor_walk(pos, int(np.argmax(from_center)))  # first maximum: lowest index
@@ -337,11 +341,12 @@ def exhaustive_select(users, cfg: SelectionConfig, wavelength: float, mode: int)
     """Globally best selection by brute force; oracle for small instances.
 
     Enumerates every 4-subset, the three distinct vertex cycles on it, and
-    both opposite-side pairings of each cycle; non-simple cycles are
-    discarded and the remaining candidates face the same constraint screen
-    as the greedy pass.  Returns the feasible candidate with the smallest
-    squared right-angle deviation (ties to the lowest index cycle), or
-    None.  Instances above MAX_ORACLE_USERS users are refused.
+    both opposite-side pairings of each cycle, and screens every candidate
+    as the greedy pass does (_screen: simplicity, the constraint bounds and
+    the chord floors at the aligned station).  Returns the feasible
+    candidate with the smallest squared right-angle deviation (ties to the
+    lowest index cycle), or None.  Instances above MAX_ORACLE_USERS users
+    are refused.
     """
     pos = np.asarray(getattr(users, "positions", users), dtype=float)
     n = len(pos)
@@ -353,12 +358,10 @@ def exhaustive_select(users, cfg: SelectionConfig, wavelength: float, mode: int)
         )
     subsets = np.array(list(combinations(range(n), 4)))
     cycles = subsets[:, [[0, 1, 2, 3], [0, 1, 3, 2], [0, 2, 1, 3]]].reshape(-1, 4)
-    angles, defect = quad_angles(pos[cycles])
-    psi = angle_square_difference(angles)
+    psi = angle_square_difference(quad_angles(pos[cycles])[0])
     best = None
     for pairing in (cycles, np.roll(cycles, -1, axis=1)):
-        excess = bound_excess(*_cycle_lengths(pos[pairing]), cfg, wavelength, mode)
-        for r in np.flatnonzero((defect == 0) & np.all(excess <= 0.0, axis=-1)):
+        for r in np.flatnonzero(_screen(pos[pairing], psi, cfg, wavelength, mode)):
             cycle = _canonical_cycle(tuple(int(i) for i in pairing[r]))
             if best is None or (psi[r], cycle) < (best.angle_square_diff, best.indices()):
                 best = _selection(pos, cycle, psi[r])

@@ -61,14 +61,12 @@ class ScenarioConfig:
             object.__setattr__(
                 self, "ground_bs_position", (float(x), float(y), float(z))
             )
+        # Candidates are screened for the height the station will fly at.
+        object.__setattr__(self, "selection", replace(self.selection, min_height=self.fbs_height))
 
     @property
     def hotspot_center(self) -> tuple[float, float]:
         return (0.5 * self.hotspot_side, 0.5 * self.hotspot_side)
-
-    def resolved_selection(self) -> SelectionConfig:
-        """Selection bounds with min_height pinned to the station's flight height."""
-        return replace(self.selection, min_height=self.fbs_height)
 
     def resolved_ground_bs(self) -> tuple[float, float, float]:
         """Fixed-station position: hotspot center at flight height unless overridden."""
@@ -117,7 +115,7 @@ def select_users(cfg: ScenarioConfig, drop: UserDrop) -> CugSelection | None:
     """Greedy pair selection for a drop, anchored on the hotspot boundary."""
     return greedy_select(
         drop,
-        cfg.resolved_selection(),
+        cfg.selection,
         cfg.link.wavelength,
         cfg.link.ring_mode,
         center=cfg.hotspot_center,
@@ -151,74 +149,48 @@ def place_acoc(users, selection: CugSelection, height: float, wavelength: float,
     return aim_at_midpoints(station, m1, m2)
 
 
-def place_suboptimal(users, selection: CugSelection, height: float) -> Placement:
-    """Placement above the first pair's midpoint: aligns that pair only."""
-    m1, m2 = _selection_midpoints(users, selection)
-    return aim_at_midpoints((m1.x, m1.y, height), m1, m2)
+def scheme_station(cfg: ScenarioConfig, drop, selection: CugSelection, trial_index: int, scheme: str):
+    """Station position (x, y, z) of one placement scheme for a trial's selection.
 
-
-def place_random(users, selection: CugSelection, hotspot_side: float, height: float, seed: int) -> Placement:
-    """Placement above a uniform random point of the hotspot square."""
-    rng = np.random.default_rng(int(seed))
-    x, y = rng.uniform(0.0, hotspot_side, size=2)
-    m1, m2 = _selection_midpoints(users, selection)
-    return aim_at_midpoints((x, y, height), m1, m2)
-
-
-def place_cow(users, selection: CugSelection, position) -> Placement:
-    """Fixed terrestrial station (cell on wheels) at a given 3D position."""
-    m1, m2 = _selection_midpoints(users, selection)
-    return aim_at_midpoints(position, m1, m2)
+    acoc: place_acoc's aligned station (it raises InfeasiblePlacementError for
+    a chord below its ring floor there); suboptimal: above the first chord's
+    midpoint; random: above a uniform point of the hotspot square, from the
+    trial's own substream; cow: the fixed ground station (cell on wheels).
+    """
+    if scheme == SCHEME_ACOC:
+        return place_acoc(
+            drop, selection, cfg.fbs_height, cfg.link.wavelength, cfg.link.ring_mode
+        ).position
+    if scheme == SCHEME_SUBOPTIMAL:
+        m1, _ = _selection_midpoints(drop, selection)
+        return (m1.x, m1.y, cfg.fbs_height)
+    if scheme == SCHEME_RANDOM:
+        seed = stream_seed(cfg.master_seed, trial_index, _STREAM_RANDOM_PLACEMENT)
+        x, y = np.random.default_rng(seed).uniform(0.0, cfg.hotspot_side, size=2)
+        return (x, y, cfg.fbs_height)
+    return cfg.resolved_ground_bs()
 
 
 def run_trial(cfg: ScenarioConfig, trial_index: int, schemes=SCHEMES) -> list[TrialResult]:
     """Drop, select once, then evaluate every scheme on the shared selection."""
-    drop = drop_users(cfg, trial_index)
-    selection = select_users(cfg, drop)
-    results = []
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
-        if selection is None:
-            results.append(
-                TrialResult(
-                    trial_index=trial_index,
-                    scheme=scheme,
-                    selection=None,
-                    placement=None,
-                    link_report=None,
-                    se_total=0.0,
-                    flags=(FLAG_NO_SELECTION,),
-                )
-            )
-            continue
-        if scheme == SCHEME_ACOC:
-            placement = place_acoc(
-                drop, selection, cfg.fbs_height, cfg.link.wavelength, cfg.link.ring_mode
-            )
-        elif scheme == SCHEME_SUBOPTIMAL:
-            placement = place_suboptimal(drop, selection, cfg.fbs_height)
-        elif scheme == SCHEME_RANDOM:
-            placement = place_random(
-                drop,
-                selection,
-                cfg.hotspot_side,
-                cfg.fbs_height,
-                stream_seed(cfg.master_seed, trial_index, _STREAM_RANDOM_PLACEMENT),
-            )
-        else:
-            placement = place_cow(drop, selection, cfg.resolved_ground_bs())
+    drop = drop_users(cfg, trial_index)
+    selection = select_users(cfg, drop)
+    if selection is None:
+        return [
+            TrialResult(trial_index, scheme, None, None, None, 0.0, (FLAG_NO_SELECTION,))
+            for scheme in schemes
+        ]
+    m1, m2 = _selection_midpoints(drop, selection)
+    results = []
+    for scheme in schemes:
+        station = scheme_station(cfg, drop, selection, trial_index, scheme)
+        placement = aim_at_midpoints(station, m1, m2)
         report = evaluate_link(cfg.link, placement, selection, drop)
         results.append(
-            TrialResult(
-                trial_index=trial_index,
-                scheme=scheme,
-                selection=selection,
-                placement=placement,
-                link_report=report,
-                se_total=report.se_total,
-                flags=report.flags,
-            )
+            TrialResult(trial_index, scheme, selection, placement, report, report.se_total, report.flags)
         )
     return results
 

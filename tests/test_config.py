@@ -82,7 +82,7 @@ def test_build_full_scenario():
     assert cfg.selection.stop_threshold == 1e-5
     assert cfg.ground_bs_position == (40.0, 41.0, 25.0)
     # planning height follows the flight height, not the file order
-    assert cfg.resolved_selection().min_height == 60.0
+    assert cfg.selection.min_height == 60.0
 
 
 def test_power_units_are_exclusive():

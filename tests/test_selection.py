@@ -16,6 +16,7 @@ from oamcoop.selection import (
     greedy_select,
     planning_distance,
 )
+from oamcoop.sim import place_acoc
 
 LAM = 0.2998
 MODE = 1
@@ -80,7 +81,7 @@ class TestConstraintScreen:
 
 def test_greedy_needs_four_users():
     with pytest.raises(InsufficientUsersError):
-        greedy_select(np.zeros((3, 2)), CFG, LAM, MODE)
+        greedy_select(np.zeros((3, 2)), CFG, LAM, MODE, center=(0.0, 0.0))
 
 
 def test_oracle_size_cap():
@@ -180,3 +181,13 @@ def test_greedy_never_beats_exhaustive():
         assert sel.angle_square_diff >= ex.angle_square_diff - 1e-12
         gaps.append(sel.angle_square_diff - ex.angle_square_diff)
     assert len(gaps) >= 8
+
+
+@pytest.mark.parametrize("seed", [14, 15, 22, 27])
+def test_oracle_pick_is_placeable(seed):
+    # the oracle screens the chord floors at the aligned station as the
+    # greedy does, so the aligned placement accepts its pick
+    users = np.random.default_rng(seed).uniform(0.0, 30.0, size=(12, 2))
+    ex = exhaustive_select(users, CFG, LAM, MODE)
+    assert ex is not None
+    place_acoc(users, ex, CFG.min_height, LAM, MODE)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oamcoop.errors import InfeasiblePlacementError, InfeasibleScenarioError
-from oamcoop.geometry import bisector_intersection
+from oamcoop.geometry import aim_at_midpoints, bisector_intersection
 from oamcoop.link import LinkConfig, evaluate_link
 from oamcoop.selection import CugSelection, SelectionConfig
 from oamcoop.sim import (
@@ -16,11 +16,9 @@ from oamcoop.sim import (
     ScenarioConfig,
     drop_users,
     place_acoc,
-    place_cow,
-    place_random,
-    place_suboptimal,
     run_experiment,
     run_trial,
+    scheme_station,
     se_heatmap,
     select_users,
     stream_seed,
@@ -63,11 +61,11 @@ def test_config_validation():
 
 def test_selection_planning_height_follows_flight_height():
     cfg = replace(FAST, fbs_height=120.0)
-    assert cfg.resolved_selection().min_height == 120.0
+    assert cfg.selection.min_height == 120.0
     # other knobs survive the pinning
     cfg2 = replace(cfg, selection=SelectionConfig(max_pair_distance=8.0))
-    assert cfg2.resolved_selection().max_pair_distance == 8.0
-    assert cfg2.resolved_selection().min_height == 120.0
+    assert cfg2.selection.max_pair_distance == 8.0
+    assert cfg2.selection.min_height == 120.0
 
 
 def test_ground_bs_defaults_to_square_center():
@@ -146,35 +144,45 @@ def test_place_acoc_names_the_pair_below_its_floor():
         place_acoc(users, sel, 50.0, 0.2998, 1)
 
 
-def test_place_suboptimal_hovers_over_first_pair():
+def _aimed(users, station):
+    m1 = (users[0] + users[1]) / 2.0
+    m2 = (users[2] + users[3]) / 2.0
+    return aim_at_midpoints(station, m1, m2)
+
+
+def test_suboptimal_station_hovers_over_first_pair():
     users, sel = _known_selection()
-    pl = place_suboptimal(users, sel, 50.0)
+    pl = _aimed(users, scheme_station(FAST, users, sel, 0, "suboptimal"))
     m1 = (users[0] + users[1]) / 2.0
     np.testing.assert_allclose(pl.position, [m1[0], m1[1], 50.0], rtol=1e-12)
     # first beam points straight down at its midpoint
     np.testing.assert_allclose(pl.axes[0], [0.0, 0.0, -1.0], atol=1e-12)
 
 
-def test_place_random_is_seeded_and_bounded():
+def test_random_station_is_seeded_per_trial_and_bounded():
     users, sel = _known_selection()
-    a = place_random(users, sel, 100.0, 50.0, seed=99)
-    b = place_random(users, sel, 100.0, 50.0, seed=99)
-    c = place_random(users, sel, 100.0, 50.0, seed=100)
-    np.testing.assert_array_equal(a.position, b.position)
-    assert not np.array_equal(a.position, c.position)
-    assert 0.0 <= a.position[0] <= 100.0
-    assert 0.0 <= a.position[1] <= 100.0
-    assert a.position[2] == 50.0
+    a = scheme_station(FAST, users, sel, 3, "random")
+    b = scheme_station(FAST, users, sel, 3, "random")
+    c = scheme_station(FAST, users, sel, 4, "random")
+    d = scheme_station(replace(FAST, master_seed=8), users, sel, 3, "random")
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert not np.array_equal(a, d)
+    assert 0.0 <= a[0] <= 100.0
+    assert 0.0 <= a[1] <= 100.0
+    assert a[2] == 50.0
 
 
-def test_place_cow_uses_given_station():
+def test_cow_station_is_the_configured_ground_station():
     users, sel = _known_selection()
-    pl = place_cow(users, sel, (50.0, 50.0, 50.0))
+    pl = _aimed(users, scheme_station(FAST, users, sel, 0, "cow"))
     np.testing.assert_allclose(pl.position, [50.0, 50.0, 50.0], rtol=1e-12)
     m2 = (users[2] + users[3]) / 2.0
     expect = np.array([m2[0], m2[1], 0.0]) - pl.position
     expect /= np.linalg.norm(expect)
     np.testing.assert_allclose(pl.axes[1], expect, rtol=1e-12)
+    moved = replace(FAST, ground_bs_position=(10.0, 20.0, 30.0))
+    assert scheme_station(moved, users, sel, 0, "cow") == (10.0, 20.0, 30.0)
 
 
 def test_trials_share_one_selection_across_schemes():
