@@ -44,12 +44,12 @@ class LinkConfig:
     aperture: float | None = None
 
     def __post_init__(self):
-        if not self.carrier_frequency > 0.0:
-            raise ValueError("carrier_frequency must be positive")
-        if not self.transmit_power > 0.0:
-            raise ValueError("transmit_power must be positive")
-        if not self.noise_power > 0.0:
-            raise ValueError("noise_power must be positive")
+        if not 0.0 < self.carrier_frequency < math.inf:
+            raise ValueError("carrier_frequency must be positive and finite")
+        if not 0.0 < self.transmit_power < math.inf:
+            raise ValueError("transmit_power must be positive and finite")
+        if not 0.0 < self.noise_power < math.inf:
+            raise ValueError("noise_power must be positive and finite")
         modes = tuple(int(m) for m in self.mode_set)
         if len(modes) != 2 or modes[0] == modes[1]:
             raise ValueError("mode_set must hold exactly two distinct modes")
@@ -58,8 +58,8 @@ class LinkConfig:
                 f"mode orders must satisfy |mode| <= {MAX_MODE_ORDER}"
             )
         object.__setattr__(self, "mode_set", modes)
-        if self.aperture is not None and not self.aperture > 0.0:
-            raise ValueError("aperture must be positive")
+        if self.aperture is not None and not 0.0 < self.aperture < math.inf:
+            raise ValueError("aperture must be positive and finite")
 
     @property
     def wavelength(self) -> float:

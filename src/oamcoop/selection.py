@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,9 +23,6 @@ from .geometry import (
     quad_angles,
     transmission_distance,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .sim import UserDrop
 
 # Exhaustive search is an oracle for tests, not a production path.
 MAX_ORACLE_USERS = 30
@@ -51,8 +47,8 @@ class SelectionConfig:
             raise ValueError("max_pair_distance must be positive")
         if not self.service_radius > 0.0:
             raise ValueError("service_radius must be positive")
-        if not self.stop_threshold > 0.0:
-            raise ValueError("stop_threshold must be positive")
+        if not 0.0 < self.stop_threshold < math.inf:
+            raise ValueError("stop_threshold must be positive and finite")
         if not self.min_height > 0.0:
             raise ValueError("min_height must be positive")
 

@@ -56,6 +56,8 @@ class ScenarioConfig:
             raise ValueError("master_seed must be nonnegative")
         if self.ground_bs_position is not None:
             x, y, z = self.ground_bs_position
+            if not all(map(math.isfinite, (x, y, z))):
+                raise ValueError("ground BS position must be finite")
             if not z > 0.0:
                 raise ValueError("ground BS height must be positive")
             object.__setattr__(

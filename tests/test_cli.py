@@ -305,3 +305,27 @@ def test_non_finite_config_length_rejected(tmp_path, capsys, key):
                "--axis", "height", "--values", "50"])
     assert rc == EXIT_CONFIG_ERROR
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("link.carrier_frequency_hz", "inf"),
+        ("link.transmit_power_w", "inf"),
+        ("link.aperture_m2", "inf"),
+        ("link.noise_power_w", "inf"),
+        ("selection.epsilon", "inf"),
+        ("ground_bs.x_m", "nan"),
+        ("ground_bs.x_m", "inf"),
+        ("ground_bs.height_m", "inf"),
+    ],
+)
+def test_non_finite_setting_rejected(tmp_path, capsys, key, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMALL + f"{key} = {value}\n")
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--config", str(path), "--out", str(out),
+               "--axis", "height", "--values", "50"])
+    assert rc == EXIT_CONFIG_ERROR
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,10 +1,13 @@
 """Config file parsing and scenario assembly."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from oamcoop.config import (
+    KEYS,
     build_scenario,
     config_echo,
     dbm_to_watts,
@@ -109,6 +112,8 @@ def test_bad_numbers_become_config_errors():
         build_scenario(parse_config_text("link.mode_set = 1\n"))
     with pytest.raises(ConfigError):
         build_scenario(parse_config_text("fbs_height_m = -5\n"))
+    with pytest.raises(ConfigError, match="link.transmit_power_dbm"):
+        build_scenario(parse_config_text("link.transmit_power_dbm = 1e5\n"))
 
 
 def test_defaults_match_dataclass(tmp_path):
@@ -132,3 +137,37 @@ def test_echo_reports_resolved_values():
     assert echo["link.ring_mode"] == 1
     lam = cfg.link.wavelength
     assert echo["link.aperture_m2"] == pytest.approx(lam * lam / (4 * math.pi))
+
+
+def test_echo_is_pinned_and_covers_every_key():
+    echo = config_echo(build_scenario(parse_config_text(FULL)))
+    assert echo == {
+        "hotspot_side_m": 80.0,
+        "user_count": 1500,
+        "fbs_height_m": 60.0,
+        "trials": 50,
+        "master_seed": 9,
+        "link.carrier_frequency_hz": 2000000000.0,
+        "link.transmit_power_w": 1.0,
+        "link.noise_power_w": 1.0000000000000002e-12,
+        "link.mode_set": [1, 2],
+        "link.aperture_m2": 0.0017880166165675552,
+        "link.ring_mode": 1,
+        "selection.max_pair_distance_m": 9.0,
+        "selection.service_radius_m": 200.0,
+        "selection.epsilon": 1e-05,
+        "selection.min_height_m": 60.0,
+        "ground_bs.x_m": 40.0,
+        "ground_bs.y_m": 41.0,
+        "ground_bs.height_m": 25.0,
+    }
+    schema = {key for key in KEYS if not key.endswith("_dbm")}
+    assert set(echo) == schema | {"link.ring_mode", "selection.min_height_m"}
+
+
+def test_readme_table_lists_exactly_the_schema_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Configuration files", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    documented = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(documented) == sorted(KEYS)
