@@ -26,8 +26,6 @@ from .geometry import (
     angle_square_difference,
     beam_frame_coords,
     bisector_intersection,
-    chord_midpoint,
-    quad_inner_angles,
     transmission_distance,
 )
 from .link import (

@@ -15,8 +15,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .link import LinkConfig
-from .selection import SelectionConfig
 from .sim import ScenarioConfig
 
 
@@ -87,35 +85,43 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return values
 
 
+def _with_setting(cfg: ScenarioConfig, group: str, name, value) -> ScenarioConfig:
+    """cfg with one field set; the dataclasses re-validate it."""
+    if group == "ground_bs":
+        # Unset coordinates keep the default station: hotspot center at flight height.
+        position = list(cfg.resolved_ground_bs())
+        position[name] = value
+        return replace(cfg, ground_bs_position=tuple(position))
+    if group:
+        return replace(cfg, **{group: replace(getattr(cfg, group), **{name: value})})
+    return replace(cfg, **{name: value})
+
+
 def build_scenario(values: dict[str, str]) -> ScenarioConfig:
-    """Assemble a ScenarioConfig from parsed values; absent keys keep the defaults."""
-    kwargs: dict[str, dict] = {"": {}, "link": {}, "selection": {}, "ground_bs": {}}
-    given: dict[tuple, str] = {}
+    """Assemble a ScenarioConfig from parsed values; absent keys keep the defaults.
+
+    A rejected setting is a ConfigError that names its key.
+    """
+    # group -> field -> (key, value), in the order the settings are applied
+    # and validated: a file with several bad settings reports the first.
+    given: dict[str, dict] = {"link": {}, "selection": {}, "": {}, "ground_bs": {}}
     for key, (group, name, parse) in KEYS.items():
         if key not in values:
             continue
-        if (group, name) in given:
-            raise ConfigError(f"give {given[group, name]} or {key}, not both")
-        given[group, name] = key
+        if name in given[group]:
+            raise ConfigError(f"give {given[group][name][0]} or {key}, not both")
         try:
-            kwargs[group][name] = parse(values[key])
+            given[group][name] = (key, parse(values[key]))
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-    try:
-        cfg = ScenarioConfig(
-            link=LinkConfig(**kwargs["link"]),
-            selection=SelectionConfig(**kwargs["selection"]),
-            **kwargs[""],
-        )
-        if kwargs["ground_bs"]:
-            # Unset coordinates keep the default station: hotspot center at flight height.
-            position = list(cfg.resolved_ground_bs())
-            for index, value in kwargs["ground_bs"].items():
-                position[index] = value
-            cfg = replace(cfg, ground_bs_position=tuple(position))
-        return cfg
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = ScenarioConfig()
+    for group, settings in given.items():
+        for name, (key, value) in settings.items():
+            try:
+                cfg = _with_setting(cfg, group, name, value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+    return cfg
 
 
 def load_config(path: str | Path | None) -> ScenarioConfig:

@@ -33,10 +33,6 @@ class ParallelChordsError(OamCoopError, ValueError):
     """Perpendicular bisectors do not meet in a unique point."""
 
 
-class NotSimpleQuadrilateralError(OamCoopError, ValueError):
-    """Four points in cycle order do not form a simple quadrilateral."""
-
-
 class InsufficientUsersError(OamCoopError, ValueError):
     """Fewer than four users are available for group selection."""
 

@@ -14,11 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateChordError,
-    NotSimpleQuadrilateralError,
-    ParallelChordsError,
-)
+from .errors import DegenerateChordError, ParallelChordsError
 
 # Relative tolerance for "numerically parallel" / "numerically degenerate".
 PARALLEL_TOL = 1e-12
@@ -50,15 +46,6 @@ class Placement:
     position: np.ndarray  # shape (3,) or (N, 3)
     axes: np.ndarray  # shape (2, 3) or (N, 2, 3)
     distances: np.ndarray  # shape (2,) or (N, 2)
-
-
-def chord_midpoint(p, q) -> GroundPoint:
-    """Midpoint of the chord between two distinct ground points."""
-    px, py = float(p[0]), float(p[1])
-    qx, qy = float(q[0]), float(q[1])
-    if px == qx and py == qy:
-        raise DegenerateChordError("degenerate chord: endpoints coincide")
-    return GroundPoint(0.5 * (px + qx), 0.5 * (py + qy))
 
 
 def _dot(a, b):
@@ -210,21 +197,6 @@ def quad_angles(vertices):
         turn = np.arctan2(dinx * douty - diny * doutx, dinx * doutx + diny * douty)
         angles[..., i] = np.where(defect == 0, math.pi - sign * turn, np.nan)
     return angles, defect
-
-
-def quad_inner_angles(vertices) -> np.ndarray:
-    """Interior angles of a simple quadrilateral given in cycle order.
-
-    Returns the four interior angles (radians) at each vertex in order.  A
-    reflex vertex of a concave cycle reports an angle above pi; the four
-    angles always sum to 2*pi.  Repeated vertices, collinear triples, and
-    self-intersecting cycles raise NotSimpleQuadrilateralError.  A batch
-    (..., 4, 2) returns NaN angles for those cycles instead (quad_angles).
-    """
-    angles, defect = quad_angles(vertices)
-    if defect.ndim == 0 and defect:
-        raise NotSimpleQuadrilateralError(f"not a simple quadrilateral: {NOT_SIMPLE[defect]}")
-    return angles
 
 
 def angle_square_difference(angles):

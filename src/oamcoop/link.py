@@ -254,7 +254,7 @@ def evaluate_placements(cfg: LinkConfig, placement: Placement, selection, users)
     station's bisector a pair loses rate to crosstalk between its modes.  An
     unreachable ring or an inseparable channel gives the pair zero SINR.
     """
-    pos = np.asarray(getattr(users, "positions", users), dtype=float)
+    pos = np.asarray(users, dtype=float)
     stations = np.asarray(placement.position, dtype=float).reshape(-1, 1, 1, 3)
     axes = np.asarray(placement.axes, dtype=float).reshape(-1, 2, 1, 3)
     distances = np.asarray(placement.distances, dtype=float).reshape(-1, 2)

@@ -156,7 +156,7 @@ def check_constraints(indices, users, cfg: SelectionConfig, wavelength: float, m
     i1, i2, i3, i4 = (int(i) for i in indices)
     if len({i1, i2, i3, i4}) != 4:
         raise ValueError("candidate indices must be distinct")
-    pos = np.asarray(getattr(users, "positions", users), dtype=float)
+    pos = np.asarray(users, dtype=float)
     excess = bound_excess(*_cycle_lengths(pos[[i1, i2, i3, i4]]), cfg, wavelength, mode)
     broken = np.flatnonzero(excess > 0.0)
     if broken.size:
@@ -312,7 +312,7 @@ def greedy_select(users, cfg: SelectionConfig, wavelength: float, mode: int, cen
     first of least deviation: the incumbent of a walk that keeps strict
     improvements and stops at the threshold.
     """
-    pos = np.asarray(getattr(users, "positions", users), dtype=float)
+    pos = np.asarray(users, dtype=float)
     n = len(pos)
     if n < 4:
         raise InsufficientUsersError("insufficient users: need at least 4")
@@ -344,7 +344,7 @@ def exhaustive_select(users, cfg: SelectionConfig, wavelength: float, mode: int)
     lowest index cycle), or None.  Instances above MAX_ORACLE_USERS users
     are refused.
     """
-    pos = np.asarray(getattr(users, "positions", users), dtype=float)
+    pos = np.asarray(users, dtype=float)
     n = len(pos)
     if n < 4:
         raise InsufficientUsersError("insufficient users: need at least 4")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InfeasiblePlacementError, InfeasibleScenarioError
-from .geometry import Placement, aim_at_midpoints, chord_midpoint
+from .geometry import Placement, aim_at_midpoints
 from .link import LinkConfig, LinkReport, evaluate_link, evaluate_placements
 from .selection import CugSelection, SelectionConfig, aligned_floors, greedy_select
 
@@ -116,7 +116,7 @@ def drop_users(cfg: ScenarioConfig, trial_index: int) -> UserDrop:
 def select_users(cfg: ScenarioConfig, drop: UserDrop) -> CugSelection | None:
     """Greedy pair selection for a drop, anchored on the hotspot boundary."""
     return greedy_select(
-        drop,
+        drop.positions,
         cfg.selection,
         cfg.link.wavelength,
         cfg.link.ring_mode,
@@ -124,21 +124,16 @@ def select_users(cfg: ScenarioConfig, drop: UserDrop) -> CugSelection | None:
     )
 
 
-def _selection_midpoints(users, selection: CugSelection):
-    pos = np.asarray(getattr(users, "positions", users), dtype=float)
-    m1 = chord_midpoint(pos[selection.cug1[0]], pos[selection.cug1[1]])
-    m2 = chord_midpoint(pos[selection.cug2[0]], pos[selection.cug2[1]])
-    return m1, m2
-
-
-def place_acoc(users, selection: CugSelection, height: float, wavelength: float, mode: int) -> Placement:
-    """Aligned placement: above the intersection of both chord bisectors.
+def place_acoc(
+    positions, selection: CugSelection, height: float, wavelength: float, mode: int
+) -> np.ndarray:
+    """Aligned station (x, y, height): above the intersection of both chord bisectors.
 
     The position is equidistant from the two users of each pair, so both
     beams are aligned.  The chord floors are re-verified at the true
     transmission distances; a violation raises InfeasiblePlacementError.
     """
-    pos = np.asarray(getattr(users, "positions", users), dtype=float)
+    pos = np.asarray(positions, dtype=float)
     station, floors = aligned_floors(pos[list(selection.indices())], height, wavelength, mode)
     chords = (selection.chord1, selection.chord2)
     for k in range(2):
@@ -147,11 +142,10 @@ def place_acoc(users, selection: CugSelection, height: float, wavelength: float,
                 f"cug{k + 1} chord {chords[k]:.6g} m is below the ring floor "
                 f"{floors[k]:.6g} m at its true transmission distance"
             )
-    m1, m2 = _selection_midpoints(users, selection)
-    return aim_at_midpoints(station, m1, m2)
+    return station
 
 
-def scheme_station(cfg: ScenarioConfig, drop, selection: CugSelection, trial_index: int, scheme: str):
+def scheme_station(cfg: ScenarioConfig, positions, selection: CugSelection, trial_index: int, scheme: str):
     """Station position (x, y, z) of one placement scheme for a trial's selection.
 
     acoc: place_acoc's aligned station (it raises InfeasiblePlacementError for
@@ -161,11 +155,12 @@ def scheme_station(cfg: ScenarioConfig, drop, selection: CugSelection, trial_ind
     """
     if scheme == SCHEME_ACOC:
         return place_acoc(
-            drop, selection, cfg.fbs_height, cfg.link.wavelength, cfg.link.ring_mode
-        ).position
+            positions, selection, cfg.fbs_height, cfg.link.wavelength, cfg.link.ring_mode
+        )
     if scheme == SCHEME_SUBOPTIMAL:
-        m1, _ = _selection_midpoints(drop, selection)
-        return (m1.x, m1.y, cfg.fbs_height)
+        p, q = positions[list(selection.cug1)]
+        x, y = 0.5 * (p + q)
+        return (x, y, cfg.fbs_height)
     if scheme == SCHEME_RANDOM:
         seed = stream_seed(cfg.master_seed, trial_index, _STREAM_RANDOM_PLACEMENT)
         x, y = np.random.default_rng(seed).uniform(0.0, cfg.hotspot_side, size=2)
@@ -185,12 +180,14 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, schemes=SCHEMES) -> list[Tr
             TrialResult(trial_index, scheme, None, None, None, 0.0, (FLAG_NO_SELECTION,))
             for scheme in schemes
         ]
-    m1, m2 = _selection_midpoints(drop, selection)
+    pos = drop.positions
+    ends = pos[[selection.cug1, selection.cug2]]  # [pair, user, xy]
+    m1, m2 = 0.5 * (ends[:, 0] + ends[:, 1])
     results = []
     for scheme in schemes:
-        station = scheme_station(cfg, drop, selection, trial_index, scheme)
+        station = scheme_station(cfg, pos, selection, trial_index, scheme)
         placement = aim_at_midpoints(station, m1, m2)
-        report = evaluate_link(cfg.link, placement, selection, drop)
+        report = evaluate_link(cfg.link, placement, selection, pos)
         results.append(
             TrialResult(trial_index, scheme, selection, placement, report, report.se_total, report.flags)
         )
@@ -218,16 +215,11 @@ class SchemeSummary:
 
 def summarize(results) -> dict[str, SchemeSummary]:
     """Per-scheme mean spectrum efficiency with a normal 95% interval."""
-    order: list[str] = []
     buckets: dict[str, list[TrialResult]] = {}
     for r in results:
-        if r.scheme not in buckets:
-            buckets[r.scheme] = []
-            order.append(r.scheme)
-        buckets[r.scheme].append(r)
+        buckets.setdefault(r.scheme, []).append(r)
     summaries = {}
-    for scheme in order:
-        rows = buckets[scheme]
+    for scheme, rows in buckets.items():
         se = np.array([r.se_total for r in rows], dtype=float)
         n = len(se)
         half = 1.96 * float(np.std(se, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
@@ -270,11 +262,11 @@ def se_heatmap(cfg: ScenarioConfig, grid_size: int) -> HeatmapResult:
         raise InfeasibleScenarioError(
             "scenario yields no usable selection on trial 0"
         )
-    m1, m2 = _selection_midpoints(drop, selection)
-    opt = place_acoc(
-        drop, selection, cfg.fbs_height, cfg.link.wavelength, cfg.link.ring_mode
-    )
-    se_opt = evaluate_link(cfg.link, opt, selection, drop).se_total
+    pos = drop.positions
+    ends = pos[[selection.cug1, selection.cug2]]  # [pair, user, xy]
+    m1, m2 = 0.5 * (ends[:, 0] + ends[:, 1])
+    station = place_acoc(pos, selection, cfg.fbs_height, cfg.link.wavelength, cfg.link.ring_mode)
+    se_opt = evaluate_link(cfg.link, aim_at_midpoints(station, m1, m2), selection, pos).se_total
     xs = np.linspace(0.0, cfg.hotspot_side, grid_size)
     ys = np.linspace(0.0, cfg.hotspot_side, grid_size)
     se = np.empty((grid_size, grid_size))
@@ -284,12 +276,12 @@ def se_heatmap(cfg: ScenarioConfig, grid_size: int) -> HeatmapResult:
     for j, y in enumerate(ys):
         row = np.column_stack((xs, np.full(grid_size, y), heights))
         placement = aim_at_midpoints(row, m1, m2)
-        se[j] = evaluate_placements(cfg.link, placement, selection, drop).se_total
+        se[j] = evaluate_placements(cfg.link, placement, selection, pos).se_total
     return HeatmapResult(
         xs=xs,
         ys=ys,
         se=se,
-        optimum=(float(opt.position[0]), float(opt.position[1])),
+        optimum=(float(station[0]), float(station[1])),
         se_at_optimum=se_opt,
         selection=selection,
         drop=drop,

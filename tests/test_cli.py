@@ -304,7 +304,9 @@ def test_non_finite_config_length_rejected(tmp_path, capsys, key):
     rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "s.csv"),
                "--axis", "height", "--values", "50"])
     assert rc == EXIT_CONFIG_ERROR
-    assert "finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {key}: " in err
+    assert "finite" in err
 
 
 @pytest.mark.parametrize(
@@ -314,6 +316,8 @@ def test_non_finite_config_length_rejected(tmp_path, capsys, key):
         ("link.transmit_power_w", "inf"),
         ("link.aperture_m2", "inf"),
         ("link.noise_power_w", "inf"),
+        ("link.noise_power_dbm", "-inf"),
+        ("link.mode_set", "1,30"),
         ("selection.epsilon", "inf"),
         ("ground_bs.x_m", "nan"),
         ("ground_bs.x_m", "inf"),
@@ -327,5 +331,7 @@ def test_non_finite_setting_rejected(tmp_path, capsys, key, value):
     rc = main(["sweep", "--config", str(path), "--out", str(out),
                "--axis", "height", "--values", "50"])
     assert rc == EXIT_CONFIG_ERROR
-    assert "finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {key}: " in err
+    assert ("|mode| <= 20" if key == "link.mode_set" else "finite") in err
     assert not out.exists()

@@ -6,18 +6,14 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from oamcoop.errors import (
-    DegenerateChordError,
-    NotSimpleQuadrilateralError,
-    ParallelChordsError,
-)
+from oamcoop.errors import DegenerateChordError, ParallelChordsError
 from oamcoop.geometry import (
+    NOT_SIMPLE,
     aim_at_midpoints,
     angle_square_difference,
     beam_frame_coords,
     bisector_intersection,
-    chord_midpoint,
-    quad_inner_angles,
+    quad_angles,
     transmission_distance,
 )
 
@@ -142,15 +138,10 @@ def test_transmission_distance_circumradius_form():
     f = bisector_intersection(*pts)
     pos = np.array([f.x, f.y, height])
     for a, b in ((0, 1), (2, 3)):
-        m = chord_midpoint(pts[a], pts[b])
+        m = 0.5 * (pts[a] + pts[b])
         d = math.dist(pts[a], pts[b])
         expect = math.sqrt(radius**2 - (d / 2.0) ** 2 + height**2)
         assert transmission_distance(pos, m) == pytest.approx(expect, rel=1e-12)
-
-
-def test_chord_midpoint():
-    m = chord_midpoint((1.0, 2.0), (3.0, 8.0))
-    assert (m.x, m.y) == (2.0, 5.0)
 
 
 def test_aim_at_midpoints_axes():
@@ -177,14 +168,14 @@ def test_aligned_pair_sees_opposite_azimuths():
         u2 = rng.uniform(-40.0, 40.0, 2)
         if math.dist(u1, u2) < 1e-3:
             continue
-        m = chord_midpoint(u1, u2)
+        m = 0.5 * (u1 + u2)
         # any station on the chord's bisector line is aligned for this pair
         chord = u2 - u1
         perp = np.array([-chord[1], chord[0]])
         t = float(rng.uniform(-30.0, 30.0))
         h = float(rng.uniform(20.0, 120.0))
-        pos = np.array([m.x + t * perp[0], m.y + t * perp[1], h])
-        axis = np.array([m.x, m.y, 0.0]) - pos
+        pos = np.array([m[0] + t * perp[0], m[1] + t * perp[1], h])
+        axis = np.array([m[0], m[1], 0.0]) - pos
         axis /= np.linalg.norm(axis)
         c1 = beam_frame_coords(pos, axis, np.array([u1[0], u1[1], 0.0]))
         c2 = beam_frame_coords(pos, axis, np.array([u2[0], u2[1], 0.0]))
@@ -231,20 +222,20 @@ def test_beam_frame_is_right_handed():
 
 def test_square_angles():
     sq = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
-    np.testing.assert_allclose(quad_inner_angles(sq), math.pi / 2.0, rtol=1e-12)
-    assert angle_square_difference(quad_inner_angles(sq)) == pytest.approx(0.0, abs=1e-18)
+    np.testing.assert_allclose(quad_angles(sq)[0], math.pi / 2.0, rtol=1e-12)
+    assert angle_square_difference(quad_angles(sq)[0]) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_rectangle_has_zero_objective():
     rect = np.array([[0.0, 0.0], [7.0, 0.0], [7.0, 2.0], [0.0, 2.0]])
-    assert angle_square_difference(quad_inner_angles(rect)) == pytest.approx(0.0, abs=1e-15)
+    assert angle_square_difference(quad_angles(rect)[0]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_known_convex_quad_angles():
     # frozen from the adjacent-edge arccos route on this vertex list
     quad = np.array([[0.0, 0.0], [4.0, -1.0], [6.0, 3.0], [1.0, 5.0]])
     expect = [1.61837943007188, 1.78946527266884, 1.48765509490646, 1.38768550953241]
-    np.testing.assert_allclose(quad_inner_angles(quad), expect, rtol=1e-10)
+    np.testing.assert_allclose(quad_angles(quad)[0], expect, rtol=1e-10)
     assert angle_square_difference(np.array(expect)) == pytest.approx(
         0.0905222954455514, rel=1e-10
     )
@@ -259,7 +250,7 @@ def test_convex_quads_match_arccos_route():
         if len(hull.vertices) != 4:
             continue
         quad = pts[hull.vertices]
-        got = quad_inner_angles(quad)
+        got = quad_angles(quad)[0]
         for i in range(4):
             u = quad[(i - 1) % 4] - quad[i]
             v = quad[(i + 1) % 4] - quad[i]
@@ -270,7 +261,7 @@ def test_convex_quads_match_arccos_route():
 
 def test_reflex_vertex_handled():
     dart = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 1.0], [0.0, 4.0]])
-    angles = quad_inner_angles(dart)
+    angles = quad_angles(dart)[0]
     assert np.sum(angles) == pytest.approx(2.0 * math.pi, rel=1e-12)
     assert angles[2] > math.pi  # the dent
     u = dart[1] - dart[2]
@@ -284,27 +275,30 @@ def test_angle_sum_always_full_turn():
     done = 0
     while done < 300:
         pts = rng.uniform(-5.0, 5.0, size=(4, 2))
-        try:
-            angles = quad_inner_angles(pts)
-        except NotSimpleQuadrilateralError:
+        angles, defect = quad_angles(pts)
+        if defect:
+            assert np.all(np.isnan(angles))
             continue
         assert np.sum(angles) == pytest.approx(2.0 * math.pi, rel=1e-9)
         done += 1
 
 
+def _assert_not_simple(quad, reason):
+    angles, defect = quad_angles(quad)
+    assert NOT_SIMPLE[defect] == reason
+    assert np.all(np.isnan(angles))
+
+
 def test_self_intersecting_order_rejected():
     bowtie = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0], [4.0, 3.0]])
-    with pytest.raises(NotSimpleQuadrilateralError):
-        quad_inner_angles(bowtie)
+    _assert_not_simple(bowtie, "opposite sides cross")
 
 
 def test_repeated_vertex_rejected():
     bad = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
-    with pytest.raises(NotSimpleQuadrilateralError):
-        quad_inner_angles(bad)
+    _assert_not_simple(bad, "repeated vertex")
 
 
 def test_collinear_triple_rejected():
     bad = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
-    with pytest.raises(NotSimpleQuadrilateralError):
-        quad_inner_angles(bad)
+    _assert_not_simple(bad, "collinear triple")

@@ -15,7 +15,6 @@ from oamcoop.geometry import (
     aim_at_midpoints,
     beam_frame_coords,
     bisector_intersection,
-    chord_midpoint,
 )
 from oamcoop.link import (
     FLAG_MODE_INSEPARABLE,
@@ -167,8 +166,8 @@ def link_scene(draw):
 @given(scene=link_scene())
 def test_batch_matches_per_position_links(scene):
     cfg, users, selection, stations = scene
-    m1 = chord_midpoint(users[0], users[1])
-    m2 = chord_midpoint(users[2], users[3])
+    m1 = 0.5 * (users[0] + users[1])
+    m2 = 0.5 * (users[2] + users[3])
     batch = evaluate_placements(cfg, aim_at_midpoints(stations, m1, m2), selection, users)
     se_total = batch.se_total
     assert se_total.shape == (len(stations),)
@@ -191,10 +190,10 @@ def test_batch_matches_per_position_links(scene):
 def test_heatmap_rows_equal_per_node_links():
     cfg = replace(ScenarioConfig(), user_count=800, master_seed=3)
     result = se_heatmap(cfg, 11)
-    sel, drop = result.selection, result.drop
-    m1 = chord_midpoint(*drop.positions[list(sel.cug1)])
-    m2 = chord_midpoint(*drop.positions[list(sel.cug2)])
+    sel, pos = result.selection, result.drop.positions
+    m1 = 0.5 * (pos[sel.cug1[0]] + pos[sel.cug1[1]])
+    m2 = 0.5 * (pos[sel.cug2[0]] + pos[sel.cug2[1]])
     for j, y in enumerate(result.ys):
         for i, x in enumerate(result.xs):
             placement = aim_at_midpoints((x, y, cfg.fbs_height), m1, m2)
-            assert result.se[j, i] == evaluate_link(cfg.link, placement, sel, drop).se_total
+            assert result.se[j, i] == evaluate_link(cfg.link, placement, sel, pos).se_total

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oamcoop import sim
 from oamcoop.errors import InfeasiblePlacementError, InfeasibleScenarioError
 from oamcoop.geometry import aim_at_midpoints, bisector_intersection
 from oamcoop.link import LinkConfig, evaluate_link
@@ -90,13 +91,13 @@ def _known_selection():
 
 def test_place_acoc_sits_on_equidistant_point():
     users, sel = _known_selection()
-    pl = place_acoc(users, sel, 50.0, 0.2998, 1)
+    station = place_acoc(users, sel, 50.0, 0.2998, 1)
     f = bisector_intersection(users[0], users[1], users[2], users[3])
-    assert pl.position[0] == pytest.approx(f.x, rel=1e-12)
-    assert pl.position[1] == pytest.approx(f.y, rel=1e-12)
-    assert pl.position[2] == 50.0
+    assert station[0] == pytest.approx(f.x, rel=1e-12)
+    assert station[1] == pytest.approx(f.y, rel=1e-12)
+    assert station[2] == 50.0
     m1 = (users[0] + users[1]) / 2.0
-    assert pl.distances[0] == pytest.approx(
+    assert _aimed(users, station).distances[0] == pytest.approx(
         math.dist((f.x, f.y, 50.0), (m1[0], m1[1], 0.0)), rel=1e-12
     )
 
@@ -107,8 +108,9 @@ def test_place_acoc_on_exact_rectangle():
     users = np.array([[47.0, 48.0], [53.0, 48.0], [53.0, 52.0], [47.0, 52.0]])
     diag = math.hypot(6.0, 4.0)
     sel = CugSelection((0, 1), (2, 3), 6.0, 6.0, diag, diag, 0.0)
-    pl = place_acoc(users, sel, 50.0, 0.2998, 1)
-    np.testing.assert_allclose(pl.position, (50.0, 50.0, 50.0), rtol=0, atol=1e-12)
+    station = place_acoc(users, sel, 50.0, 0.2998, 1)
+    np.testing.assert_allclose(station, (50.0, 50.0, 50.0), rtol=0, atol=1e-12)
+    pl = _aimed(users, station)
     assert pl.distances[0] == pytest.approx(pl.distances[1], rel=1e-12)
     report = evaluate_link(LinkConfig(), pl, sel, users)
     assert report.flags == ()
@@ -183,6 +185,20 @@ def test_cow_station_is_the_configured_ground_station():
     np.testing.assert_allclose(pl.axes[1], expect, rtol=1e-12)
     moved = replace(FAST, ground_bs_position=(10.0, 20.0, 30.0))
     assert scheme_station(moved, users, sel, 0, "cow") == (10.0, 20.0, 30.0)
+
+
+@pytest.mark.parametrize("schemes", [SCHEMES, ("acoc",), ("cow", "random")], ids="+".join)
+def test_run_trial_aims_each_station_once(monkeypatch, schemes):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return aim_at_midpoints(*args)
+
+    monkeypatch.setattr(sim, "aim_at_midpoints", counted)
+    results = run_trial(FAST, 0, schemes)
+    assert all(r.placement is not None for r in results)
+    assert len(calls) == len(schemes)
 
 
 def test_trials_share_one_selection_across_schemes():
