@@ -136,10 +136,9 @@ def beam_frame_coords(position, axis, point) -> BeamFrameCoords:
     # Azimuth from e1, the unit transverse part of global +x (of +y when the
     # axis is along x), toward e2 = axis x e1.  For transverse t, t . e1 is
     # t_x / |e1| and t . e2 is (axis x x_hat) . t / |e1|; atan2 drops |e1|.
-    phi = np.where(
-        ay * ay + az * az < 1e-18,
-        np.arctan2(tz * ax - tx * az, ty),
-        np.arctan2(ty * az - tz * ay, tx),
+    along_x = ay * ay + az * az < 1e-18
+    phi = np.arctan2(
+        np.where(along_x, tz * ax - tx * az, ty * az - tz * ay), np.where(along_x, ty, tx)
     )
     return BeamFrameCoords(
         np.where(on_axis, 0.0, rho)[()], np.where(on_axis, 0.0, phi)[()], axial, on_axis

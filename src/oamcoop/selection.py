@@ -219,15 +219,15 @@ def anchor_walk(positions, start: int) -> np.ndarray:
     """
     pos = np.asarray(positions, dtype=float)
     xs, ys = pos.T.tolist()
-    rounds = np.empty((len(pos) - 3, 4), dtype=np.intp)
+    total = len(pos) - 3
+    rounds = []
     members = np.arange(len(pos))
     anchor = start
-    r = 0
-    while r < len(rounds):
+    while len(rounds) < total:
         cells, (x0, y0), h, nx = _cell_grid(pos, members)
         ny = len(cells) // nx
         active = len(members)
-        while r < len(rounds) and 2 * active >= len(members):
+        while len(rounds) < total and 2 * active >= len(members):
             ax, ay = xs[anchor], ys[anchor]
             # The cell index as _cell_grid computes it, and the offset within the cell.
             tx, ty = (ax - x0) / h, (ay - y0) / h
@@ -236,18 +236,15 @@ def anchor_walk(positions, start: int) -> np.ndarray:
             active -= 1
             edge = min(tx - cx, 1.0 + cx - tx, ty - cy, 1.0 + cy - ty) - 1e-6
             reach = max(cx, nx - 1 - cx, cy, ny - 1 - cy)
+            # The first pass takes rings 0 and 1 together, or ring 0 alone in
+            # a crowded cell, where that often holds the three nearest.
+            k = 0 if len(cells[cy * nx + cx]) >= 4 * CELL_OCCUPANCY else 1
+            x_lo, x_hi = max(cx - k, 0), min(cx + k, nx - 1)
+            ring = []
+            for y in range(max(cy - k, 0), min(cy + k + 1, ny)):
+                ring += cells[y * nx + x_lo : y * nx + x_hi + 1]
             near = []
-            k = 0
             while True:
-                x_lo, x_hi = max(cx - k, 0), min(cx + k, nx - 1)
-                y_lo, y_hi = max(cy - k + 1, 0), min(cy + k - 1, ny - 1)
-                ring = []
-                for y in {cy - k, cy + k}:
-                    if 0 <= y < ny:
-                        ring += cells[y * nx + x_lo : y * nx + x_hi + 1]
-                for x in {cx - k, cx + k}:
-                    if 0 <= x < nx and y_lo <= y_hi:
-                        ring += cells[y_lo * nx + x : y_hi * nx + x + 1 : nx]
                 for cell in ring:
                     for j in cell:
                         dx = xs[j] - ax
@@ -258,11 +255,19 @@ def anchor_walk(positions, start: int) -> np.ndarray:
                 if k >= reach or (len(near) >= 3 and bound > 0.0 and near[2][0] < bound * bound):
                     break
                 k += 1
-            rounds[r] = (anchor, near[0][1], near[1][1], near[2][1])
-            r += 1
+                x_lo, x_hi = max(cx - k, 0), min(cx + k, nx - 1)
+                y_lo, y_hi = max(cy - k + 1, 0), min(cy + k - 1, ny - 1)
+                ring = []
+                for y in {cy - k, cy + k}:
+                    if 0 <= y < ny:
+                        ring += cells[y * nx + x_lo : y * nx + x_hi + 1]
+                for x in {cx - k, cx + k}:
+                    if 0 <= x < nx and y_lo <= y_hi:
+                        ring += cells[y_lo * nx + x : y_hi * nx + x + 1 : nx]
+            rounds.append((anchor, near[0][1], near[1][1], near[2][1]))
             anchor = near[0][1]
         members = np.fromiter(chain.from_iterable(cells), dtype=np.intp)
-    return rounds
+    return np.array(rounds, dtype=np.intp).reshape(-1, 4)
 
 
 def _screen(quads, psi, cfg: SelectionConfig, wavelength: float, mode: int):

@@ -234,6 +234,11 @@ def summarize(results) -> dict[str, SchemeSummary]:
     return summaries
 
 
+# Grid stations scored per evaluate_placements call: it bounds the link
+# temporaries, which for a whole 101x101 grid at once hold about 8 MB more.
+PLACEMENT_BATCH = 512
+
+
 @dataclass(frozen=True, eq=False)
 class HeatmapResult:
     """Spectrum efficiency over a grid of candidate positions at flight height."""
@@ -269,18 +274,17 @@ def se_heatmap(cfg: ScenarioConfig, grid_size: int) -> HeatmapResult:
     se_opt = evaluate_link(cfg.link, aim_at_midpoints(station, m1, m2), selection, pos).se_total
     xs = np.linspace(0.0, cfg.hotspot_side, grid_size)
     ys = np.linspace(0.0, cfg.hotspot_side, grid_size)
-    se = np.empty((grid_size, grid_size))
-    # One row per batch keeps peak memory flat; a whole-grid batch runs
-    # faster but holds about 10 MB more at its peak.
-    heights = np.full(grid_size, cfg.fbs_height)
-    for j, y in enumerate(ys):
-        row = np.column_stack((xs, np.full(grid_size, y), heights))
-        placement = aim_at_midpoints(row, m1, m2)
-        se[j] = evaluate_placements(cfg.link, placement, selection, pos).se_total
+    # Row-major, as se is laid out: station j * G + i is (xs[i], ys[j]).
+    heights = np.full(grid_size * grid_size, cfg.fbs_height)
+    stations = np.column_stack((np.tile(xs, grid_size), np.repeat(ys, grid_size), heights))
+    se = np.empty(len(stations))
+    for s in range(0, len(stations), PLACEMENT_BATCH):
+        placement = aim_at_midpoints(stations[s : s + PLACEMENT_BATCH], m1, m2)
+        se[s : s + PLACEMENT_BATCH] = evaluate_placements(cfg.link, placement, selection, pos).se_total
     return HeatmapResult(
         xs=xs,
         ys=ys,
-        se=se,
+        se=se.reshape(grid_size, grid_size),
         optimum=(float(station[0]), float(station[1])),
         se_at_optimum=se_opt,
         selection=selection,

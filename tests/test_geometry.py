@@ -220,6 +220,33 @@ def test_beam_frame_is_right_handed():
         assert c1.radial == pytest.approx(c0.radial, rel=1e-9)
 
 
+def test_beam_frame_azimuth_matches_both_branches():
+    rng = np.random.default_rng(31)
+    oblique = rng.normal(size=(4, 3))
+    axes = np.vstack(
+        (
+            [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 1e-10, 0.0]],  # along x: the +y reference
+            [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]],
+            oblique / np.linalg.norm(oblique, axis=1, keepdims=True),
+        )
+    )
+    pos = np.array([3.0, -2.0, 40.0])
+    points = rng.uniform(-20.0, 20.0, size=(50, 3))
+    got = beam_frame_coords(pos, axes[:, None, :], points)
+    # The azimuth written out with both arctan2 branches, each over every point.
+    rx, ry, rz = points[:, 0] - pos[0], points[:, 1] - pos[1], points[:, 2] - pos[2]
+    ax, ay, az = (axes[:, k, None] for k in range(3))
+    axial = rx * ax + ry * ay + rz * az
+    tx, ty, tz = rx - axial * ax, ry - axial * ay, rz - axial * az
+    phi = np.where(
+        ay * ay + az * az < 1e-18,
+        np.arctan2(tz * ax - tx * az, ty),
+        np.arctan2(ty * az - tz * ay, tx),
+    )
+    assert not got.on_axis.any()
+    assert np.array_equal(got.azimuth, phi)
+
+
 def test_square_angles():
     sq = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
     np.testing.assert_allclose(quad_angles(sq)[0], math.pi / 2.0, rtol=1e-12)

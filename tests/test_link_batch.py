@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oamcoop import sim
 from oamcoop.beam import BeamSpec, RingTarget, waist_solve
 from oamcoop.errors import ParallelChordsError, WaistInfeasibleError
 from oamcoop.geometry import (
@@ -197,3 +198,22 @@ def test_heatmap_rows_equal_per_node_links():
         for i, x in enumerate(result.xs):
             placement = aim_at_midpoints((x, y, cfg.fbs_height), m1, m2)
             assert result.se[j, i] == evaluate_link(cfg.link, placement, sel, pos).se_total
+
+
+@pytest.mark.parametrize("batch", [7, 10_000])
+@pytest.mark.parametrize("grid", [13, 2])
+def test_heatmap_blocks_equal_row_by_row_scoring(monkeypatch, batch, grid):
+    # 7 stations per block straddle the rows of a 13-wide grid and leave a
+    # last block of one; 10 000 takes either grid in a single block.
+    cfg = replace(ScenarioConfig(), user_count=800, master_seed=3)
+    monkeypatch.setattr(sim, "PLACEMENT_BATCH", batch)
+    result = se_heatmap(cfg, grid)
+    sel, pos = result.selection, result.drop.positions
+    m1 = 0.5 * (pos[sel.cug1[0]] + pos[sel.cug1[1]])
+    m2 = 0.5 * (pos[sel.cug2[0]] + pos[sel.cug2[1]])
+    heights = np.full(grid, cfg.fbs_height)
+    rows = []
+    for y in result.ys:
+        row = np.column_stack((result.xs, np.full(grid, y), heights))
+        rows.append(evaluate_placements(cfg.link, aim_at_midpoints(row, m1, m2), sel, pos).se_total)
+    assert np.array_equal(result.se, np.array(rows))

@@ -24,6 +24,7 @@ from oamcoop.geometry import (
 )
 from oamcoop.selection import (
     SelectionConfig,
+    _cell_grid,
     anchor_walk,
     check_constraints,
     chord_floor,
@@ -110,6 +111,50 @@ def drops(draw):
 def test_anchor_walk_matches_brute_force(drop):
     pos, start = drop
     np.testing.assert_array_equal(anchor_walk(pos, start), brute_walk(pos, start))
+
+
+def _small_grid_drops():
+    """Drops of 4-9 users whose first cell grid is at most two cells across."""
+    rng = np.random.default_rng(11)
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    yield square
+    yield np.vstack((square, square[[3, 0]]))  # repeated positions: index ties
+    yield square * (2.0, 1.5)
+    for count in (5, 6, 7):
+        yield np.vstack((square, rng.uniform(0.05, 0.95, size=(count - 4, 2))))
+    for count in (8, 9):
+        yield np.full((count, 2), 3.0)  # one point: a single cell, ring 1 is empty
+
+
+@pytest.mark.parametrize("pos", list(_small_grid_drops()), ids=lambda p: f"{len(p)}users")
+def test_anchor_walk_on_grids_two_cells_across(pos):
+    cells, _, _, nx = _cell_grid(pos, np.arange(len(pos)))
+    assert nx <= 2 and len(cells) // nx <= 2
+    for start in range(len(pos)):
+        np.testing.assert_array_equal(anchor_walk(pos, start), brute_walk(pos, start))
+
+
+def test_anchor_walk_between_far_clusters():
+    # Each cluster fills one cell, so the search starts with ring 0 alone
+    # while that cell is crowded.  Once a cluster has fewer than three
+    # active users left, the nearest users sit many rings out, across the
+    # empty cells between the clusters.
+    rng = np.random.default_rng(7)
+    pos = np.vstack(
+        (rng.uniform(0.0, 1.0, size=(20, 2)), rng.uniform(0.0, 1.0, size=(20, 2)) + (500.0, 300.0))
+    )
+    for start in (0, 25):
+        rounds = anchor_walk(pos, start)
+        np.testing.assert_array_equal(rounds, brute_walk(pos, start))
+        assert np.any((rounds[:, 0] < 20) != (rounds[:, 1] < 20))
+
+
+def test_anchor_walk_on_sparse_drop():
+    # 40 users in a 100 m square: near the end of each grid epoch half the
+    # cells are empty, and the search reaches rings 2 and 3.
+    pos = np.random.default_rng(2).uniform(0.0, 100.0, size=(40, 2))
+    for start in range(len(pos)):
+        np.testing.assert_array_equal(anchor_walk(pos, start), brute_walk(pos, start))
 
 
 @PROPERTY
