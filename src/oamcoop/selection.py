@@ -205,20 +205,24 @@ def _cell_grid(pos, members):
     return cells, lo.tolist(), h, nx
 
 
-def anchor_walk(positions, start: int) -> np.ndarray:
+def anchor_walk(positions, start: int, first_chord=(0.0, math.inf)) -> np.ndarray:
     """The greedy walk's rounds (anchor, n1, n2, n3), shape (U - 3, 4).
 
-    Each round retires its anchor and records the anchor's three nearest
-    active users, ranked by (squared distance, user index); n1 anchors the
-    next round.  Nearest users come from a ring search on a uniform cell
-    grid: after the rings 0..k of cells around the anchor's cell, an unseen
-    user is farther than k cell sides plus the anchor's distance to its own
-    cell's nearest edge, so the search stops once three users lie nearer
-    than that, less a margin far above cell-assignment rounding.  The grid
-    is rebuilt, coarser, each time half of its users have retired.
+    Each round retires its anchor and records the anchor's nearest active
+    user n1, which anchors the next round.  Only where the first chord
+    |anchor - n1| lies in the inclusive interval ``first_chord`` does the
+    round also record the second and third nearest users n2 and n3; other
+    rounds read -1 there.  Users are ranked by (squared distance, user
+    index).  Nearest users come from a ring search on a uniform cell grid:
+    after the rings 0..k of cells around the anchor's cell, an unseen user
+    is farther than k cell sides plus the anchor's distance to its own
+    cell's nearest edge, so the search stops once the users it needs lie
+    nearer than that, less a margin far above cell-assignment rounding.
+    The grid is rebuilt, coarser, each time half of its users have retired.
     """
     pos = np.asarray(positions, dtype=float)
     xs, ys = pos.T.tolist()
+    lo2, hi2 = (float(c) * float(c) for c in first_chord)
     total = len(pos) - 3
     rounds = []
     members = np.arange(len(pos))
@@ -237,7 +241,7 @@ def anchor_walk(positions, start: int) -> np.ndarray:
             edge = min(tx - cx, 1.0 + cx - tx, ty - cy, 1.0 + cy - ty) - 1e-6
             reach = max(cx, nx - 1 - cx, cy, ny - 1 - cy)
             # The first pass takes rings 0 and 1 together, or ring 0 alone in
-            # a crowded cell, where that often holds the three nearest.
+            # a crowded cell, where that often holds the nearest users.
             k = 0 if len(cells[cy * nx + cx]) >= 4 * CELL_OCCUPANCY else 1
             x_lo, x_hi = max(cx - k, 0), min(cx + k, nx - 1)
             ring = []
@@ -252,7 +256,9 @@ def anchor_walk(positions, start: int) -> np.ndarray:
                         near.append((dx * dx + dy * dy, j))
                 near.sort()
                 bound = (k + edge) * h
-                if k >= reach or (len(near) >= 3 and bound > 0.0 and near[2][0] < bound * bound):
+                # n2 and n3 are certified only when n1 opens a first chord in the interval.
+                need = 3 if near and lo2 <= near[0][0] <= hi2 else 1
+                if k >= reach or (len(near) >= need and bound > 0.0 and near[need - 1][0] < bound * bound):
                     break
                 k += 1
                 x_lo, x_hi = max(cx - k, 0), min(cx + k, nx - 1)
@@ -264,8 +270,9 @@ def anchor_walk(positions, start: int) -> np.ndarray:
                 for x in {cx - k, cx + k}:
                     if 0 <= x < nx and y_lo <= y_hi:
                         ring += cells[y_lo * nx + x : y_hi * nx + x + 1 : nx]
-            rounds.append((anchor, near[0][1], near[1][1], near[2][1]))
-            anchor = near[0][1]
+            n1 = near[0][1]
+            rounds.append((anchor, n1, near[1][1], near[2][1]) if need == 3 else (anchor, n1, -1, -1))
+            anchor = n1
         members = np.fromiter(chain.from_iterable(cells), dtype=np.intp)
     return np.array(rounds, dtype=np.intp).reshape(-1, 4)
 
@@ -285,13 +292,8 @@ def _screen(quads, psi, cfg: SelectionConfig, wavelength: float, mode: int):
     return ok
 
 
-# Rounds scored per vectorised batch: it bounds the scoring's temporaries,
-# which for all 4000 rounds at once raised peak RSS by about 1 MB.
-SCORE_BATCH = 512
-
-
 def _score_rounds(pos, rounds, cfg: SelectionConfig, wavelength: float, mode: int):
-    """Squared right-angle deviation of each round's candidate, inf where infeasible.
+    """Squared right-angle deviation of each complete round's candidate, inf where infeasible.
 
     Rewrites each round (anchor, n1, n2, n3) in place as its candidate cycle:
     the second pair in nearest-rank order, reversed only if that is not simple.
@@ -305,17 +307,26 @@ def _score_rounds(pos, rounds, cfg: SelectionConfig, wavelength: float, mode: in
     return np.where(_screen(pos[rounds], psi, cfg, wavelength, mode), psi, np.inf)
 
 
+# Relative widening of the walk's first-chord interval: far above the
+# rounding gap between the walk's squared chords and the screen's np.hypot.
+CHORD_MARGIN = 1e-9
+
+
 def greedy_select(users, cfg: SelectionConfig, wavelength: float, mode: int, center):
     """Boundary-first iterative selection; returns the best CugSelection or None.
 
     The walk (anchor_walk) starts at the user farthest from ``center``
-    (the hotspot center); each of
-    its U - 3 rounds pairs the anchor with its nearest neighbor and the
-    second/third nearest users as the other pair.  The rounds are then
-    scored in vectorised batches (_score_rounds).  The result is the first
-    feasible round whose deviation reaches the stop threshold, else the
-    first of least deviation: the incumbent of a walk that keeps strict
-    improvements and stops at the threshold.
+    (the hotspot center); each of its U - 3 rounds pairs the anchor with
+    its nearest neighbor n1.  Only a round whose first chord can pass the
+    screen, between the ring floor at the minimum height and the pair
+    distance ceiling, is completed with the second/third nearest users as
+    the other pair.  The floor at ``min_height`` lies below every planning
+    and aligned floor, which grow with distance, so no feasible round is
+    left out.  The complete rounds are scored in one vectorised pass
+    (_score_rounds).  The result is the first feasible round whose
+    deviation reaches the stop threshold, else the first of least
+    deviation: the incumbent of a walk that keeps strict improvements and
+    stops at the threshold.
     """
     pos = np.asarray(users, dtype=float)
     n = len(pos)
@@ -323,10 +334,16 @@ def greedy_select(users, cfg: SelectionConfig, wavelength: float, mode: int, cen
         raise InsufficientUsersError("insufficient users: need at least 4")
     cx, cy = float(center[0]), float(center[1])
     from_center = (pos[:, 0] - cx) ** 2 + (pos[:, 1] - cy) ** 2
-    rounds = anchor_walk(pos, int(np.argmax(from_center)))  # first maximum: lowest index
-
-    batches = np.split(rounds, range(SCORE_BATCH, len(rounds), SCORE_BATCH))  # views
-    psi = np.concatenate([_score_rounds(pos, b, cfg, wavelength, mode) for b in batches])
+    first_chord = (
+        float(chord_floor(cfg.min_height, wavelength, mode)) * (1.0 - CHORD_MARGIN),
+        cfg.max_pair_distance * (1.0 + CHORD_MARGIN),
+    )
+    start = int(np.argmax(from_center))  # first maximum: lowest index
+    rounds = anchor_walk(pos, start, first_chord)
+    rounds = rounds[rounds[:, 2] >= 0]
+    if not len(rounds):
+        return None
+    psi = _score_rounds(pos, rounds, cfg, wavelength, mode)
     reached = np.flatnonzero(psi <= cfg.stop_threshold)
     w = int(reached[0]) if reached.size else int(np.argmin(psi))
     return _selection(pos, rounds[w], psi[w]) if psi[w] < math.inf else None

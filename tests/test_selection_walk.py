@@ -1,10 +1,11 @@
 """Two-phase greedy selection against loop references, and the array quad kernel.
 
 The anchor walk is checked against a brute-force walk that ranks every
-active user by (squared distance, user index); the vectorised scoring is
-checked against a round-by-round loop that scores one quad at a time
-and keeps a strict running minimum, as the selection did
-before it was split into two phases.
+active user by (squared distance, user index), with and without a
+first-chord interval; the vectorised scoring is checked against a
+round-by-round loop that scores one quad at a time and keeps a strict
+running minimum, as the selection did before it was split into two
+phases, and, at the paper's user counts, against scoring every full round.
 """
 
 import math
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oamcoop import sim
 from oamcoop.errors import ParallelChordsError
 from oamcoop.geometry import (
     NOT_SIMPLE,
@@ -25,6 +27,7 @@ from oamcoop.geometry import (
 from oamcoop.selection import (
     SelectionConfig,
     _cell_grid,
+    _score_rounds,
     anchor_walk,
     check_constraints,
     chord_floor,
@@ -38,9 +41,14 @@ LAM = 0.2998
 MODE = 1
 
 
-def brute_walk(pos, start):
-    """Every round ranks all active users; the reference for anchor_walk."""
+def brute_walk(pos, start, first_chord=(0.0, math.inf)):
+    """Every round ranks all active users; the reference for anchor_walk.
+
+    n2 and n3 read -1 in rounds whose first chord lies outside the
+    inclusive interval ``first_chord``.
+    """
     xs, ys = pos[:, 0].tolist(), pos[:, 1].tolist()
+    lo, hi = first_chord
     active = set(range(len(pos)))
     rounds = []
     anchor = start
@@ -48,9 +56,18 @@ def brute_walk(pos, start):
         active.discard(anchor)
         ax, ay = xs[anchor], ys[anchor]
         ranked = sorted(((xs[j] - ax) * (xs[j] - ax) + (ys[j] - ay) * (ys[j] - ay), j) for j in active)
-        rounds.append((anchor, ranked[0][1], ranked[1][1], ranked[2][1]))
+        if lo * lo <= ranked[0][0] <= hi * hi:
+            rounds.append((anchor, ranked[0][1], ranked[1][1], ranked[2][1]))
+        else:
+            rounds.append((anchor, ranked[0][1], -1, -1))
         anchor = ranked[0][1]
     return np.array(rounds, dtype=np.intp).reshape(-1, 4)
+
+
+def first_chord_squares(pos, rounds):
+    """Squared first chord |anchor - n1| of each round, as the walks compute it."""
+    d = pos[rounds[:, 1]] - pos[rounds[:, 0]]
+    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
 
 
 def loop_select(pos, cfg, center):
@@ -113,6 +130,50 @@ def test_anchor_walk_matches_brute_force(drop):
     np.testing.assert_array_equal(anchor_walk(pos, start), brute_walk(pos, start))
 
 
+@PROPERTY
+@given(
+    drop=drops(),
+    lo=st.sampled_from((0.0, 1e-9, 0.5, 1.0, 2.0, 5.0, 20.0)),
+    hi=st.sampled_from((0.0, 1.0, 2.0, 3.0, 10.0, math.inf)),
+)
+def test_interval_walk_matches_brute_force(drop, lo, hi):
+    # Lattice drops put first chords of exactly 0, 1 and 2 on the ends;
+    # lo > hi gives an empty interval.
+    pos, start = drop
+    got = anchor_walk(pos, start, (lo, hi))
+    np.testing.assert_array_equal(got, brute_walk(pos, start, (lo, hi)))
+    full = brute_walk(pos, start)
+    np.testing.assert_array_equal(got[:, :2], full[:, :2])
+    d2 = first_chord_squares(pos, full)
+    inside = (lo * lo <= d2) & (d2 <= hi * hi)
+    np.testing.assert_array_equal(got[inside, 2:], full[inside, 2:])
+    assert np.all(got[~inside, 2:] == -1)
+
+
+def test_interval_walk_keeps_chords_on_either_end():
+    # Integer lattice: first chords of 0, 1, sqrt(2), 2, ... exactly.
+    pos = np.random.default_rng(3).integers(0, 8, size=(80, 2)).astype(float)
+    full = brute_walk(pos, 0)
+    d2 = first_chord_squares(pos, full)
+    assert {1.0, 4.0} <= set(d2.tolist()) and np.any(d2 < 1.0) and np.any(d2 > 4.0)
+    got = anchor_walk(pos, 0, (1.0, 2.0))
+    np.testing.assert_array_equal(got, brute_walk(pos, 0, (1.0, 2.0)))
+    inside = (d2 >= 1.0) & (d2 <= 4.0)
+    np.testing.assert_array_equal(got[inside], full[inside])
+    assert np.all(got[~inside, 2:] == -1) and np.all(got[~inside, :2] == full[~inside, :2])
+
+
+def test_empty_interval_leaves_no_complete_round():
+    pos = np.random.default_rng(4).uniform(0.0, 30.0, size=(200, 2))
+    rounds = anchor_walk(pos, 0, (2.0, 1.0))
+    np.testing.assert_array_equal(rounds[:, :2], brute_walk(pos, 0)[:, :2])
+    assert np.all(rounds[:, 2:] == -1)
+    # The ring floor at 200 m (8.74 m) lies above a 3 m pair distance ceiling.
+    cfg = SelectionConfig(min_height=200.0, max_pair_distance=3.0)
+    assert chord_floor(cfg.min_height, LAM, MODE) > cfg.max_pair_distance
+    assert greedy_select(pos, cfg, LAM, MODE, center=(15.0, 15.0)) is None
+
+
 def _small_grid_drops():
     """Drops of 4-9 users whose first cell grid is at most two cells across."""
     rng = np.random.default_rng(11)
@@ -163,15 +224,22 @@ def test_anchor_walk_on_sparse_drop():
     count=st.integers(4, 60),
     lattice=st.booleans(),
     threshold=st.sampled_from((1e-6, 0.05, 10.0)),
+    min_height=st.sampled_from((10.0, 50.0, 200.0)),
+    max_pair_distance=st.sampled_from((3.0, 10.0, math.inf)),
 )
-def test_greedy_matches_round_by_round_loop(seed, count, lattice, threshold):
+def test_greedy_matches_round_by_round_loop(
+    seed, count, lattice, threshold, min_height, max_pair_distance
+):
     rng = np.random.default_rng(seed)
     if lattice:
-        # exact rectangles, psi = 0 ties and parallel chords
+        # exact rectangles, psi = 0 ties, parallel chords, and chords of
+        # exactly 3 m on a 3 m ceiling
         pos = 3.0 * rng.integers(0, 8, size=(count, 2)).astype(float)
     else:
         pos = rng.uniform(0.0, 25.0, size=(count, 2))
-    cfg = SelectionConfig(stop_threshold=threshold)
+    cfg = SelectionConfig(
+        stop_threshold=threshold, min_height=min_height, max_pair_distance=max_pair_distance
+    )
     center = (12.0, 12.0)
     sel = greedy_select(pos, cfg, LAM, MODE, center=center)
     want, want_psi = loop_select(pos, cfg, center)
@@ -180,6 +248,52 @@ def test_greedy_matches_round_by_round_loop(seed, count, lattice, threshold):
         return
     assert sel.indices() == want
     assert sel.angle_square_diff == pytest.approx(want_psi, rel=1e-12, abs=1e-15)
+
+
+def test_greedy_keeps_a_first_chord_on_the_ceiling():
+    # np.hypot rounds this first chord to the ceiling while its squared
+    # length rounds above the ceiling's square: the walk must widen its
+    # interval to complete the round that the screen accepts.
+    x, y = 6.515929727227629, 7.887233511355132
+    ceiling = math.hypot(x, y)
+    assert x * x + y * y > ceiling * ceiling and np.hypot(x, y) == ceiling
+    u = np.array([x, y]) / ceiling
+    w = np.array([-u[1], u[0]])
+    pos = np.array([[0.0, 0.0], [x, y], 6.0 * u + 14.0 * w, u + 12.0 * w])
+    cfg = SelectionConfig(max_pair_distance=ceiling)
+    center = tuple(pos[2])
+    sel = greedy_select(pos, cfg, LAM, MODE, center=center)
+    assert sel is not None and sel.cug1 == (0, 1) and sel.chord1 == ceiling
+    assert loop_select(pos, cfg, center)[0] == sel.indices()
+
+
+def full_walk_select(pos, cfg, wavelength, mode, center):
+    """The greedy pick from every full round of the default-interval walk."""
+    from_center = (pos[:, 0] - center[0]) ** 2 + (pos[:, 1] - center[1]) ** 2
+    rounds = anchor_walk(pos, int(np.argmax(from_center)))
+    psi = _score_rounds(pos, rounds, cfg, wavelength, mode)
+    reached = np.flatnonzero(psi <= cfg.stop_threshold)
+    w = int(reached[0]) if reached.size else int(np.argmin(psi))
+    return (tuple(rounds[w].tolist()), psi[w]) if psi[w] < math.inf else (None, math.inf)
+
+
+@pytest.mark.parametrize("user_count", (1000, 4000))
+def test_greedy_matches_full_walk_at_paper_scale(user_count):
+    for master_seed in (1, 2, 3):
+        cfg = sim.ScenarioConfig(user_count=user_count, master_seed=master_seed, trials=3)
+        for trial in range(3):
+            pos = sim.drop_users(cfg, trial).positions
+            sel = greedy_select(
+                pos, cfg.selection, cfg.link.wavelength, cfg.link.ring_mode, cfg.hotspot_center
+            )
+            want, want_psi = full_walk_select(
+                pos, cfg.selection, cfg.link.wavelength, cfg.link.ring_mode, cfg.hotspot_center
+            )
+            if want is None:
+                assert sel is None
+                continue
+            assert sel.indices() == want, (master_seed, trial)
+            assert sel.angle_square_diff == pytest.approx(want_psi, rel=1e-12, abs=0.0)
 
 
 quad_coordinate = st.floats(-10.0, 10.0, allow_nan=False)
