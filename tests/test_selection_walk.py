@@ -2,13 +2,15 @@
 
 The anchor walk is checked against a brute-force walk that ranks every
 active user by (squared distance, user index), with and without a
-first-chord interval; the vectorised scoring is checked against a
-round-by-round loop that scores one quad at a time and keeps a strict
-running minimum, as the selection did before it was split into two
-phases, and, at the paper's user counts, against scoring every full round.
+first-chord interval, and its nearest-user lists against ranking every
+user; the vectorised scoring is checked against a round-by-round loop
+that scores one quad at a time and keeps a strict running minimum, as
+the selection did before it was split into two phases, and, at the
+paper's user counts, against scoring every full round.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +27,10 @@ from oamcoop.geometry import (
     transmission_distance,
 )
 from oamcoop.selection import (
+    NEAREST_USERS,
     SelectionConfig,
     _cell_grid,
+    _nearest_lists,
     _score_rounds,
     anchor_walk,
     check_constraints,
@@ -105,8 +109,8 @@ def loop_select(pos, cfg, center):
 
 @st.composite
 def drops(draw):
-    """User positions of one of four kinds, and the walk's first anchor."""
-    kind = draw(st.sampled_from(("uniform", "lattice", "line", "tiny")))
+    """User positions of one of five kinds, and the walk's first anchor."""
+    kind = draw(st.sampled_from(("uniform", "lattice", "near-tie", "line", "tiny")))
     count = draw(st.integers(4, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "uniform":
@@ -114,6 +118,14 @@ def drops(draw):
     elif kind == "lattice":
         # many exact distance ties, and repeated positions
         pos = rng.integers(0, draw(st.integers(2, 12)), size=(count, 2)).astype(float)
+    elif kind == "near-tie":
+        # Lattice points moved by up to three ulps: squared distances that
+        # differ only in their last bits, and exact ties where moves cancel.
+        pos = rng.integers(0, draw(st.integers(2, 12)), size=(count, 2)).astype(float)
+        ulps = rng.integers(-3, 4, size=(count, 2))
+        for step in range(3):
+            pos = np.where(ulps > step, np.nextafter(pos, math.inf), pos)
+            pos = np.where(ulps < -step, np.nextafter(pos, -math.inf), pos)
     elif kind == "line":
         t = rng.uniform(-50.0, 50.0, size=count)
         direction = draw(st.sampled_from(((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))))
@@ -128,6 +140,38 @@ def drops(draw):
 def test_anchor_walk_matches_brute_force(drop):
     pos, start = drop
     np.testing.assert_array_equal(anchor_walk(pos, start), brute_walk(pos, start))
+
+
+@PROPERTY
+@given(drop=drops())
+def test_nearest_lists_are_complete_below_their_radius(drop):
+    # A list opens with every other user that lies below its radius,
+    # ranked by (squared distance, user index) as the walk computes them;
+    # the rest of the list lies at or beyond the radius, or repeats the
+    # user itself.
+    pos, _ = drop
+    near, radius2 = _nearest_lists(pos)
+    assert near.shape == (len(pos), NEAREST_USERS)
+    xs, ys = pos[:, 0].tolist(), pos[:, 1].tolist()
+    for i in np.flatnonzero(radius2 >= 0.0).tolist():
+        ranked = sorted(
+            ((xs[j] - xs[i]) * (xs[j] - xs[i]) + (ys[j] - ys[i]) * (ys[j] - ys[i]), j)
+            for j in range(len(pos))
+            if j != i
+        )
+        inside = [j for d, j in ranked if d < radius2[i]]
+        assert len(inside) <= NEAREST_USERS
+        assert near[i, : len(inside)].tolist() == inside
+        for j in near[i, len(inside) :].tolist():
+            d = (xs[j] - xs[i]) * (xs[j] - xs[i]) + (ys[j] - ys[i]) * (ys[j] - ys[i])
+            assert j == i or d >= radius2[i]
+
+
+def test_most_users_of_a_uniform_drop_get_a_list():
+    pos = np.random.default_rng(8).uniform(0.0, 100.0, size=(2000, 2))
+    _, radius2 = _nearest_lists(pos)
+    assert np.mean(radius2 > 0.0) > 0.9
+    assert np.all((radius2 > 0.0) | (radius2 == -1.0))
 
 
 @PROPERTY
@@ -208,6 +252,26 @@ def test_anchor_walk_between_far_clusters():
         rounds = anchor_walk(pos, start)
         np.testing.assert_array_equal(rounds, brute_walk(pos, start))
         assert np.any((rounds[:, 0] < 20) != (rounds[:, 1] < 20))
+
+
+@pytest.mark.parametrize("far", ((1000.0, 0.0), (707.0, 707.0)), ids=("along-x", "diagonal"))
+def test_anchor_walk_memory_on_two_clusters(far):
+    # Each 1 m cluster fills one crowded cell, so no user gets a list.  A
+    # walk without the lists peaks at 0.21 MB on these drops; the lists and
+    # their build may add O(U) arrays, 256 bytes per user.  A build that
+    # ranked every pair in a crowded block would take O(U^2).
+    rng = np.random.default_rng(9)
+    pos = np.vstack((rng.uniform(0.0, 1.0, size=(500, 2)), rng.uniform(0.0, 1.0, size=(500, 2)) + far))
+    anchor_walk(pos, 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        anchor_walk(pos, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.21e6 + 256 * len(pos)
 
 
 def test_anchor_walk_on_sparse_drop():
