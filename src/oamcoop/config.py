@@ -60,7 +60,6 @@ KEYS = {
     "ground_bs.y_m": ("ground_bs", 1, float),
     "ground_bs.height_m": ("ground_bs", 2, float),
 }
-KNOWN_KEYS = frozenset(KEYS)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -75,7 +74,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")

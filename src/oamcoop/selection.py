@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, pairwise
 
 import numpy as np
 
@@ -190,29 +190,31 @@ CROWDED_CELL = 4 * CELL_OCCUPANCY
 EDGE_MARGIN = 1e-6
 
 
-def _cell_coords(p):
-    """(t, lo, h): points p (m, 2) in units of the cell side h, from the origin lo.
+def _cell_grid(pos, members):
+    """(order, starts, cell, edge, h, nx): the walk's cell grid of users ``members``.
 
-    About CELL_OCCUPANCY points per cell; points on one line or at one
-    point still get h > 0 and O(m) cells.  A point's cell is int(t).
+    The cell side h gives about CELL_OCCUPANCY members per cell of their
+    bounding box; members on one line or at one point still get h > 0 and
+    O(m) cells.  Rows of nx cells, padded with one empty cell on each side,
+    so a 3x3 block never leaves the grid.  ``order`` holds the members
+    sorted by cell, those of cell c at order[starts[c]:starts[c + 1]];
+    cell[n] is the cell of user order[n], and edge[n] its distance in cell
+    sides to that cell's nearest edge, less EDGE_MARGIN.  No other code
+    maps a position to a cell.
     """
+    p = pos[members]
     lo = p.min(axis=0)
     sx, sy = (p.max(axis=0) - lo).tolist()
     m = len(p)
     h = max(math.sqrt(sx * sy * CELL_OCCUPANCY / m), max(sx, sy) * CELL_OCCUPANCY / m) or 1.0
-    return (p - lo) / h, lo, h
-
-
-def _cell_grid(pos, members):
-    """(cells, origin, h, nx): users ``members`` in cells of side h, rows of nx cells."""
-    t, lo, h = _cell_coords(pos[members])
+    t = (p - lo) / h
     c = t.astype(np.intp)
-    nx, ny = (c.max(axis=0) + 1).tolist()
-    cid = (c[:, 1] * nx + c[:, 0]).tolist()
-    cells = [[] for _ in range(nx * ny)]
-    for j, k in zip(members.tolist(), cid):
-        cells[k].append(j)
-    return cells, lo.tolist(), h, nx
+    edge = np.minimum(t - c, 1.0 + c - t).min(axis=1) - EDGE_MARGIN
+    nx, ny = (c.max(axis=0) + 3).tolist()
+    cell = (c[:, 1] + 1) * nx + c[:, 0] + 1
+    rank = np.argsort(cell, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(cell, minlength=nx * ny))))
+    return members[rank], starts, cell[rank], edge[rank], h, nx
 
 
 # Length of each user's nearest-user list, and users per step of its build.
@@ -220,68 +222,42 @@ NEAREST_USERS = 8
 NEAREST_BATCH = 128
 
 
-def _block_cells(pos):
-    """(cid, nx, ny, bound2): each user's cell on a grid of nx by ny cells, and its block bound.
-
-    The grid is _cell_coords' grid padded with one empty cell on each
-    side.  A user outside the 3x3 cell block around user i lies farther
-    than (1 + edge) cell sides from it, edge being i's distance to its own
-    cell's nearest edge less EDGE_MARGIN; bound2 is the square of that
-    distance.
-    """
-    t, _, h = _cell_coords(pos)
-    c = t.astype(np.intp)
-    edge = np.minimum(t - c, 1.0 + c - t).min(axis=1) - EDGE_MARGIN
-    nx, ny = (c.max(axis=0) + 3).tolist()
-    return (c[:, 1] + 1) * nx + c[:, 0] + 1, nx, ny, ((1.0 + edge) * h) ** 2
-
-
-def _nearest_lists(pos):
+def _nearest_lists(pos, grid):
     """Each user's NEAREST_USERS nearest users, and the squared radius below which they are complete.
 
-    Row i of ``near`` (U, NEAREST_USERS) int32 ranks the users of the 3x3
-    cell block around user i (_block_cells) by squared distance, padded
-    with i itself.  Users outside the block lie beyond its bound, and
-    block users left off the list at or beyond its (NEAREST_USERS + 1)-th
-    entry; ``radius2`` (U,) is the smaller of the two squares.  A user
-    whose block holds a crowded cell, or whose first NEAREST_USERS + 1
-    entries are not strictly increasing (ties, which the user index would
-    have to break), gets no list: radius2 -1.
+    ``grid`` is _cell_grid over all users.  Row i of ``near`` (U,
+    NEAREST_USERS) int32 ranks the users of the 3x3 cell block around user
+    i by squared distance, padded with i itself.  Users outside the block
+    lie farther than (1 + edge) cell sides, and block users left off the
+    list at or beyond its (NEAREST_USERS + 1)-th entry; ``radius2`` (U,) is
+    the smaller of the two squares.  A user gets no list, radius2 -1, when
+    a row of its block holds 3 * CROWDED_CELL users or more, which keeps
+    the build O(U), or when its first NEAREST_USERS + 1 entries are not
+    strictly increasing (ties, which the user index would have to break).
     """
+    order, starts, cid, edge, h, nx = grid
     u = len(pos)
     k = NEAREST_USERS
-    cid, nx, ny, bound2 = _block_cells(pos)
-    # Users sorted by cell: the three cells of a block row are consecutive,
-    # so their users are one run.
-    order = np.argsort(cid, kind="stable")
-    cid = cid[order]
+    bound2 = ((1.0 + edge) * h) ** 2
     xs, ys = pos[order, 0], pos[order, 1]
-    counts = np.bincount(cid, minlength=nx * ny)
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    # Cells whose block holds a crowded cell: the crowded cells grown by
-    # one cell along rows, then along columns.
-    crowded = counts >= CROWDED_CELL
-    grown = crowded.copy()
-    grown[1:] |= crowded[:-1]
-    grown[:-1] |= crowded[1:]
-    crowded = grown.copy()
-    crowded[nx:] |= grown[:-nx]
-    crowded[:-nx] |= grown[nx:]
     near = np.repeat(np.arange(u, dtype=np.int32), k).reshape(u, k)
     radius2 = np.full(u, -1.0)
     # The users i and their candidates j are positions in cell order.
-    live = np.flatnonzero(~crowded[cid])
-    for lo in range(0, len(live), NEAREST_BATCH):
-        i = live[lo : lo + NEAREST_BATCH]
-        users = order[i]
+    for lo in range(0, u, NEAREST_BATCH):
+        i = np.arange(lo, min(lo + NEAREST_BATCH, u))
+        # The three cells of a block row are consecutive in cell order, so
+        # their users are one run.
         row_cells = cid[i, None] + (-nx - 1, -1, nx - 1)
         first = starts[row_cells]
         run = starts[row_cells + 3] - first
+        live = run.max(axis=1) < 3 * CROWDED_CELL
+        i, first, run = i[live], first[live], run[live]
+        users = order[i]
         # At least k + 1 slots across the three block rows.
-        w = max(int(run.max()), math.ceil((k + 1) / 3))
+        w = max(int(run.max(initial=0)), math.ceil((k + 1) / 3))
         slot = np.arange(w)
-        j = (first[..., None] + slot).reshape(len(i), -1)
-        keep = (slot < run[..., None]).reshape(len(i), -1) & (j != i[:, None])
+        j = (first[..., None] + slot).reshape(len(i), 3 * w)
+        keep = (slot < run[..., None]).reshape(len(i), 3 * w) & (j != i[:, None])
         np.minimum(j, u - 1, out=j)
         # Squared distances as the walk computes them, in place.
         d2 = xs[j]
@@ -297,38 +273,36 @@ def _nearest_lists(pos):
         ranked = np.all((s[:, 1:] > s[:, :-1]) | (s[:, 1:] == np.inf), axis=1)
         listed = order[np.take_along_axis(j, top[:, :k], axis=1)]
         near[users] = np.where(s[:, :k] < np.inf, listed, users[:, None])
-        radius2[users] = np.where(ranked, np.minimum(bound2[users], s[:, k]), -1.0)
+        radius2[users] = np.where(ranked, np.minimum(bound2[i], s[:, k]), -1.0)
     return near, radius2
 
 
-def _ring_search(xs, ys, cells, origin, h, nx, anchor, lo2, hi2):
+def _ring_search(xs, ys, cells, nx, h, anchor, cell, edge, lo2, hi2):
     """(need, near): the anchor's nearest active users by a ring search on the cell grid.
 
-    After the rings 0..k of cells around the anchor's cell, an unseen user
-    is farther than k cell sides plus the anchor's distance to its own
-    cell's nearest edge, less EDGE_MARGIN, so the search stops once the
-    users it needs lie nearer than that.  It needs n1, and also n2 and n3
-    (need 3) when the squared first chord lies in [lo2, hi2].  ``near``
-    holds (squared distance, user) pairs in rank order, at least ``need``
-    of them.
+    ``cell`` and ``edge`` are the anchor's cell and edge on the grid
+    (_cell_grid).  After the rings 0..k of cells around the anchor's cell,
+    an unseen user is farther than k + edge cell sides, so the search stops
+    once the users it needs lie nearer than that.  It needs n1, and also n2
+    and n3 (need 3) when the squared first chord lies in [lo2, hi2].
+    ``near`` holds (squared distance, user) pairs in rank order, at least
+    ``need`` of them.
     """
     ny = len(cells) // nx
     ax, ay = xs[anchor], ys[anchor]
-    tx, ty = (ax - origin[0]) / h, (ay - origin[1]) / h
-    cx, cy = int(tx), int(ty)
-    edge = min(tx - cx, 1.0 + cx - tx, ty - cy, 1.0 + cy - ty) - EDGE_MARGIN
-    reach = max(cx, nx - 1 - cx, cy, ny - 1 - cy)
+    cy, cx = divmod(cell, nx)
+    # Rings beyond this reach hold only the empty padding cells.
+    reach = max(cx, nx - 1 - cx, cy, ny - 1 - cy) - 1
     # The first pass takes rings 0 and 1 together, or ring 0 alone in
     # a crowded cell, where that often holds the nearest users.
-    k = 0 if len(cells[cy * nx + cx]) >= CROWDED_CELL else 1
-    x_lo, x_hi = max(cx - k, 0), min(cx + k, nx - 1)
+    k = 0 if len(cells[cell]) >= CROWDED_CELL else 1
     ring = []
-    for y in range(max(cy - k, 0), min(cy + k + 1, ny)):
-        ring += cells[y * nx + x_lo : y * nx + x_hi + 1]
+    for y in range(cy - k, cy + k + 1):
+        ring += cells[y * nx + cx - k : y * nx + cx + k + 1]
     near = []
     while True:
-        for cell in ring:
-            for j in cell:
+        for c in ring:
+            for j in c:
                 dx = xs[j] - ax
                 dy = ys[j] - ay
                 near.append((dx * dx + dy * dy, j))
@@ -359,39 +333,46 @@ def anchor_walk(positions, start: int, first_chord=(0.0, math.inf)) -> np.ndarra
     rounds read -1 there.  Users are ranked by (squared distance, user
     index).
 
-    The walk first builds, once, each user's list of its nearest users
-    with a certified squared radius (_nearest_lists).  A round scans the
-    anchor's list, skipping retired users, and takes the users it needs
-    from it when all of them lie below the radius: no unlisted user lies
-    nearer.  Otherwise, and for users without a list, the round runs a
-    ring search (_ring_search) on a uniform cell grid of the active users,
-    rebuilt coarser each time half of its users have retired.
+    The walk builds a cell grid of all users (_cell_grid) and, once, each
+    user's list of its nearest users with a certified squared radius
+    (_nearest_lists).  A round scans the anchor's list, skipping retired
+    users, and takes the users it needs from it when all of them lie below
+    the radius: no unlisted user lies nearer.  Otherwise, and for users
+    without a list, the round runs a ring search (_ring_search) over the
+    active users of the grid, which is rebuilt over them, coarser, each
+    time half of its users have retired.
     """
     pos = np.asarray(positions, dtype=float)
-    near_users, radius2 = _nearest_lists(pos)
+    grid = _cell_grid(pos, np.arange(len(pos)))
+    near_users, radius2 = _nearest_lists(pos, grid)
     xs, ys = pos.T.tolist()
     lo2, hi2 = (float(c) * float(c) for c in first_chord)
     total = len(pos) - 3
     lists = memoryview(near_users.ravel())
     radius2 = memoryview(radius2)
     retired = bytearray(len(pos))
+    # Each active user's cell and edge on the current grid.
+    cell_of = np.empty(len(pos), dtype=np.intp)
+    edge_of = np.empty(len(pos))
+    cell_at, edge_at = memoryview(cell_of), memoryview(edge_of)
     rounds = np.full((total, 4), -1, dtype=np.intp)
     path = np.empty(total + 1, dtype=np.intp)
     # Round r's anchor is anchors[r] and its n1 anchors[r + 1].
     anchors = memoryview(path)
     anchor = start
     done = 0
-    members = np.arange(len(pos))
     while done < total:
-        cells, origin, h, nx = _cell_grid(pos, members)
-        x0, y0 = origin
+        order, starts, cell, edge, h, nx = grid
+        cell_of[order] = cell
+        edge_of[order] = edge
+        users = order.tolist()
+        cells = [users[a:b] for a, b in pairwise(starts.tolist())]
         # A grid serves until half of its users have retired.
-        stop = min(total, done + len(members) // 2 + 1)
+        stop = min(total, done + len(users) // 2 + 1)
         for r in range(done, stop):
             anchors[r] = anchor
             ax, ay = xs[anchor], ys[anchor]
-            # The anchor's cell as _cell_grid computes it.
-            cells[int((ay - y0) / h) * nx + int((ax - x0) / h)].remove(anchor)
+            cells[cell_at[anchor]].remove(anchor)
             retired[anchor] = 1
             r2 = radius2[anchor]
             near = []
@@ -410,13 +391,15 @@ def anchor_walk(positions, start: int, first_chord=(0.0, math.inf)) -> np.ndarra
                             break
                         need = 3
             if len(near) < need:
-                need, ranked = _ring_search(xs, ys, cells, origin, h, nx, anchor, lo2, hi2)
+                need, ranked = _ring_search(
+                    xs, ys, cells, nx, h, anchor, cell_at[anchor], edge_at[anchor], lo2, hi2
+                )
                 near = [j for _, j in ranked[:need]]
             if need == 3:
                 rounds[r, 2:] = near[1:]
             anchor = near[0]
         done = stop
-        members = np.fromiter(chain.from_iterable(cells), dtype=np.intp)
+        grid = _cell_grid(pos, np.fromiter(chain.from_iterable(cells), dtype=np.intp))
     anchors[total] = anchor
     rounds[:, 0] = path[:-1]
     rounds[:, 1] = path[1:]

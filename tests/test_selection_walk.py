@@ -3,12 +3,15 @@
 The anchor walk is checked against a brute-force walk that ranks every
 active user by (squared distance, user index), with and without a
 first-chord interval, and its nearest-user lists against ranking every
-user; the vectorised scoring is checked against a round-by-round loop
-that scores one quad at a time and keeps a strict running minimum, as
-the selection did before it was split into two phases, and, at the
-paper's user counts, against scoring every full round.
+user; at the paper's user counts, where the brute-force walk is too
+slow, its rounds are frozen as digests.  The vectorised scoring is
+checked against a round-by-round loop that scores one quad at a time and
+keeps a strict running minimum, as the selection did before it was split
+into two phases, and, at the paper's user counts, against scoring every
+full round.
 """
 
+import hashlib
 import math
 import tracemalloc
 
@@ -27,6 +30,8 @@ from oamcoop.geometry import (
     transmission_distance,
 )
 from oamcoop.selection import (
+    CHORD_MARGIN,
+    CROWDED_CELL,
     NEAREST_USERS,
     SelectionConfig,
     _cell_grid,
@@ -150,10 +155,15 @@ def test_nearest_lists_are_complete_below_their_radius(drop):
     # the rest of the list lies at or beyond the radius, or repeats the
     # user itself.
     pos, _ = drop
-    near, radius2 = _nearest_lists(pos)
+    near, radius2 = _nearest_lists(pos, _cell_grid(pos, np.arange(len(pos))))
     assert near.shape == (len(pos), NEAREST_USERS)
+    assert_lists_complete(pos, near, radius2, np.flatnonzero(radius2 >= 0.0))
+
+
+def assert_lists_complete(pos, near, radius2, listed):
+    """Check the lists of the users ``listed`` against ranking every user."""
     xs, ys = pos[:, 0].tolist(), pos[:, 1].tolist()
-    for i in np.flatnonzero(radius2 >= 0.0).tolist():
+    for i in listed.tolist():
         ranked = sorted(
             ((xs[j] - xs[i]) * (xs[j] - xs[i]) + (ys[j] - ys[i]) * (ys[j] - ys[i]), j)
             for j in range(len(pos))
@@ -169,9 +179,29 @@ def test_nearest_lists_are_complete_below_their_radius(drop):
 
 def test_most_users_of_a_uniform_drop_get_a_list():
     pos = np.random.default_rng(8).uniform(0.0, 100.0, size=(2000, 2))
-    _, radius2 = _nearest_lists(pos)
+    _, radius2 = _nearest_lists(pos, _cell_grid(pos, np.arange(len(pos))))
     assert np.mean(radius2 > 0.0) > 0.9
     assert np.all((radius2 > 0.0) | (radius2 == -1.0))
+
+
+def test_users_next_to_a_crowded_cell_get_a_list():
+    # Twelve users in one 1 cm square make a crowded cell in a uniform
+    # drop, which has a few of its own.  The rows of the blocks that touch
+    # a crowded cell hold far fewer than 3 * CROWDED_CELL users, so every
+    # user of those blocks gets a list.
+    rng = np.random.default_rng(12)
+    pos = rng.uniform(0.0, 100.0, size=(2000, 2))
+    pos[:12] = (50.3, 50.3) + rng.uniform(0.0, 0.01, size=(12, 2))
+    grid = _cell_grid(pos, np.arange(len(pos)))
+    order, starts, cell, _, _, nx = grid
+    crowded = np.flatnonzero(np.diff(starts) >= CROWDED_CELL)
+    assert cell[order == 0] in crowded
+    (qy, qx), (cy, cx) = np.divmod(crowded, nx), np.divmod(cell[:, None], nx)
+    touching = order[np.any((np.abs(cx - qx) <= 1) & (np.abs(cy - qy) <= 1), axis=1)]
+    assert len(touching) > 12 * len(crowded)
+    near, radius2 = _nearest_lists(pos, grid)
+    assert np.all(radius2[touching] > 0.0)
+    assert_lists_complete(pos, near, radius2, touching)
 
 
 @PROPERTY
@@ -233,8 +263,9 @@ def _small_grid_drops():
 
 @pytest.mark.parametrize("pos", list(_small_grid_drops()), ids=lambda p: f"{len(p)}users")
 def test_anchor_walk_on_grids_two_cells_across(pos):
-    cells, _, _, nx = _cell_grid(pos, np.arange(len(pos)))
-    assert nx <= 2 and len(cells) // nx <= 2
+    # The grid is padded with one empty cell on each side.
+    _, starts, _, _, _, nx = _cell_grid(pos, np.arange(len(pos)))
+    assert nx - 2 <= 2 and (len(starts) - 1) // nx - 2 <= 2
     for start in range(len(pos)):
         np.testing.assert_array_equal(anchor_walk(pos, start), brute_walk(pos, start))
 
@@ -358,6 +389,53 @@ def test_greedy_matches_full_walk_at_paper_scale(user_count):
                 continue
             assert sel.indices() == want, (master_seed, trial)
             assert sel.angle_square_diff == pytest.approx(want_psi, rel=1e-12, abs=0.0)
+
+
+# sha256 of anchor_walk's rounds as little-endian int64, on trial 0's drop
+# from greedy_select's first anchor, under the default interval and under
+# greedy_select's interval.  The brute-force walk is too slow to check
+# these sizes; any change to the walk must keep them.
+WALK_DIGESTS = {
+    (1000, 1, "default"): "d6023e0c66a959016266c53ff77eebc761a6b9fe9272248f98f368e9f9ba1ed3",
+    (1000, 1, "greedy"): "0849a6ff5e1645b06221d0cb252b91cd67e79620d01b32e1ffa42d3f6979c164",
+    (1000, 2, "default"): "692d519f7b2adda9ce670a7c35c5a25c4b893b62140c1046eaa156c16cc1d335",
+    (1000, 2, "greedy"): "9182de46ba62b6e0a153adef14e41f8ee2b32cd024e574fe089182e558d090d0",
+    (1000, 3, "default"): "0d50633c6e182e0105adce3b5139cf2dcf92b9b19ebfde10e30516edf4e259a7",
+    (1000, 3, "greedy"): "f1f5ed14a1a9234f299269e13a99e04a84408f976a3aa8541721301f466de22e",
+    (4000, 1, "default"): "0939fb9d3ca6d10b09b01c0205ce42c46f928a78ba3dad3fbf1bf5f94941a5b0",
+    (4000, 1, "greedy"): "8e37910378757c6fb3f5f58984e765f5c62831e13cb93f83e43eb1253a8dbb12",
+    (4000, 2, "default"): "000cec2a947080240df4345971b6291eb0ab2895598d50963eee5656b89315c0",
+    (4000, 2, "greedy"): "a93462f058eea0121d3c262625aea8f2e1f78fdcc860546cbe06cffe693850e7",
+    (4000, 3, "default"): "c4c9960792d82e1622eb149e297a1b71100cc43234202870c38b83daa2f47e94",
+    (4000, 3, "greedy"): "5c95786937ae8be42f1c67947b53e858e397e898d251315f33386163fe35a748",
+    (16000, 1, "default"): "02f359d043b77fd044ecac29e334d659a5271a0fdd19158b03a35dc6ffa83444",
+    (16000, 1, "greedy"): "3531336078673264346eb55758da2edbc973190e694505bbac8955e21abb4997",
+    (16000, 2, "default"): "c7f6458b5042ad64d4c7b9c7b4542cbfc89644fd3a2e66d2d49c9b60685603c5",
+    (16000, 2, "greedy"): "87a16a54637faaaf86133ce53ef36df34c7e0f09998f51a5aca6d8cf57066510",
+    (16000, 3, "default"): "cf8b684474c8136edc59d0897659d84d1374985f6da9b2b9a595722228c6c023",
+    (16000, 3, "greedy"): "5acd82770f9c9a1e2c011bf601fb27e1a816be70649378c27dc6140c3789ad48",
+}
+
+
+@pytest.mark.parametrize("user_count", (1000, 4000, 16000))
+def test_anchor_walk_rounds_at_paper_scale_are_frozen(user_count):
+    for master_seed in (1, 2, 3):
+        cfg = sim.ScenarioConfig(user_count=user_count, master_seed=master_seed)
+        pos = sim.drop_users(cfg, 0).positions
+        cx, cy = cfg.hotspot_center
+        start = int(np.argmax((pos[:, 0] - cx) ** 2 + (pos[:, 1] - cy) ** 2))
+        floor = float(chord_floor(cfg.selection.min_height, cfg.link.wavelength, cfg.link.ring_mode))
+        intervals = {
+            "default": (0.0, math.inf),
+            "greedy": (
+                floor * (1.0 - CHORD_MARGIN),
+                cfg.selection.max_pair_distance * (1.0 + CHORD_MARGIN),
+            ),
+        }
+        for name, first_chord in intervals.items():
+            rounds = np.ascontiguousarray(anchor_walk(pos, start, first_chord), dtype="<i8")
+            digest = hashlib.sha256(rounds.tobytes()).hexdigest()
+            assert digest == WALK_DIGESTS[user_count, master_seed, name], (master_seed, name)
 
 
 quad_coordinate = st.floats(-10.0, 10.0, allow_nan=False)
