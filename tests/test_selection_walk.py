@@ -417,25 +417,57 @@ WALK_DIGESTS = {
 }
 
 
+def walk_digests(pos, center, cfg):
+    """sha256 of anchor_walk's rounds from greedy_select's first anchor, per interval.
+
+    The rounds are hashed as little-endian int64, under the default
+    interval and under greedy_select's interval for ``cfg``.
+    """
+    start = int(np.argmax((pos[:, 0] - center[0]) ** 2 + (pos[:, 1] - center[1]) ** 2))
+    floor = float(chord_floor(cfg.selection.min_height, cfg.link.wavelength, cfg.link.ring_mode))
+    intervals = {
+        "default": (0.0, math.inf),
+        "greedy": (
+            floor * (1.0 - CHORD_MARGIN),
+            cfg.selection.max_pair_distance * (1.0 + CHORD_MARGIN),
+        ),
+    }
+    digests = {}
+    for name, first_chord in intervals.items():
+        rounds = np.ascontiguousarray(anchor_walk(pos, start, first_chord), dtype="<i8")
+        digests[name] = hashlib.sha256(rounds.tobytes()).hexdigest()
+    return digests
+
+
 @pytest.mark.parametrize("user_count", (1000, 4000, 16000))
 def test_anchor_walk_rounds_at_paper_scale_are_frozen(user_count):
     for master_seed in (1, 2, 3):
         cfg = sim.ScenarioConfig(user_count=user_count, master_seed=master_seed)
         pos = sim.drop_users(cfg, 0).positions
-        cx, cy = cfg.hotspot_center
-        start = int(np.argmax((pos[:, 0] - cx) ** 2 + (pos[:, 1] - cy) ** 2))
-        floor = float(chord_floor(cfg.selection.min_height, cfg.link.wavelength, cfg.link.ring_mode))
-        intervals = {
-            "default": (0.0, math.inf),
-            "greedy": (
-                floor * (1.0 - CHORD_MARGIN),
-                cfg.selection.max_pair_distance * (1.0 + CHORD_MARGIN),
-            ),
-        }
-        for name, first_chord in intervals.items():
-            rounds = np.ascontiguousarray(anchor_walk(pos, start, first_chord), dtype="<i8")
-            digest = hashlib.sha256(rounds.tobytes()).hexdigest()
+        digests = walk_digests(pos, cfg.hotspot_center, cfg)
+        for name, digest in digests.items():
             assert digest == WALK_DIGESTS[user_count, master_seed, name], (master_seed, name)
+
+
+# The same digests on two clusters of 2000 users, each 1 m across, 1 km
+# apart, from the user farthest from their midpoint.  Their blocks are too
+# crowded for nearest-user lists, so every round is found by the fallback.
+CLUSTER_DIGESTS = {
+    ("along-x", "default"): "b08d4ede53d21b962925de0b005041511ab85f713fd4a3c82afa3e9137c5241d",
+    ("along-x", "greedy"): "45a040ad6df3fcd318404fe235e77d51947962645d1f51b9835bcf9db3a2f5dc",
+    ("diagonal", "default"): "2855b6584a7d4663a8c6795f6092f2701ed5854069266779f441b2f11c1df203",
+    ("diagonal", "greedy"): "8176f06a0725b6d155f3ea381efce5906c3ded321f0d5072778d69ec14a81059",
+}
+
+
+@pytest.mark.parametrize("layout", ("along-x", "diagonal"))
+def test_anchor_walk_rounds_on_two_clusters_are_frozen(layout):
+    far = {"along-x": (1000.0, 0.0), "diagonal": (707.0, 707.0)}[layout]
+    rng = np.random.default_rng(5)
+    pos = np.vstack((rng.uniform(0.0, 1.0, size=(2000, 2)), rng.uniform(0.0, 1.0, size=(2000, 2)) + far))
+    center = (0.5 + 0.5 * far[0], 0.5 + 0.5 * far[1])
+    for name, digest in walk_digests(pos, center, sim.ScenarioConfig()).items():
+        assert digest == CLUSTER_DIGESTS[layout, name], name
 
 
 quad_coordinate = st.floats(-10.0, 10.0, allow_nan=False)
