@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, pairwise
+from itertools import combinations
 
 import numpy as np
 
@@ -181,40 +181,40 @@ def aligned_floors(quads, height: float, wavelength: float, mode: int):
     return station, chord_floor(distances, wavelength, mode)
 
 
-# Mean active users per cell each time the anchor walk builds its grid.
+# Mean users per cell of the anchor walk's grid.
 CELL_OCCUPANCY = 2.0
-# Cells of at least this many users are crowded.
+# Users in a crowded cell.  A user gets no nearest-user list when a row
+# of its block holds 3 * CROWDED_CELL users or more.
 CROWDED_CELL = 4 * CELL_OCCUPANCY
 # Margin, in cell sides, on a user's distance to its cell's edges: far
 # above cell-assignment rounding.
 EDGE_MARGIN = 1e-6
 
 
-def _cell_grid(pos, members):
-    """(order, starts, cell, edge, h, nx): the walk's cell grid of users ``members``.
+def _cell_grid(pos):
+    """(order, starts, cell, edge, h, nx): the walk's cell grid of the users ``pos``.
 
-    The cell side h gives about CELL_OCCUPANCY members per cell of their
-    bounding box; members on one line or at one point still get h > 0 and
-    O(m) cells.  Rows of nx cells, padded with one empty cell on each side,
-    so a 3x3 block never leaves the grid.  ``order`` holds the members
+    The cell side h gives about CELL_OCCUPANCY users per cell of their
+    bounding box; users on one line or at one point still get h > 0 and
+    O(U) cells.  Rows of nx cells, padded with one empty cell on each side,
+    so a 3x3 block never leaves the grid.  ``order`` holds the users
     sorted by cell, those of cell c at order[starts[c]:starts[c + 1]];
     cell[n] is the cell of user order[n], and edge[n] its distance in cell
     sides to that cell's nearest edge, less EDGE_MARGIN.  No other code
     maps a position to a cell.
     """
-    p = pos[members]
-    lo = p.min(axis=0)
-    sx, sy = (p.max(axis=0) - lo).tolist()
-    m = len(p)
-    h = max(math.sqrt(sx * sy * CELL_OCCUPANCY / m), max(sx, sy) * CELL_OCCUPANCY / m) or 1.0
-    t = (p - lo) / h
+    lo = pos.min(axis=0)
+    sx, sy = (pos.max(axis=0) - lo).tolist()
+    u = len(pos)
+    h = max(math.sqrt(sx * sy * CELL_OCCUPANCY / u), max(sx, sy) * CELL_OCCUPANCY / u) or 1.0
+    t = (pos - lo) / h
     c = t.astype(np.intp)
     edge = np.minimum(t - c, 1.0 + c - t).min(axis=1) - EDGE_MARGIN
     nx, ny = (c.max(axis=0) + 3).tolist()
     cell = (c[:, 1] + 1) * nx + c[:, 0] + 1
     rank = np.argsort(cell, kind="stable")
     starts = np.concatenate(([0], np.cumsum(np.bincount(cell, minlength=nx * ny))))
-    return members[rank], starts, cell[rank], edge[rank], h, nx
+    return rank, starts, cell[rank], edge[rank], h, nx
 
 
 # Length of each user's nearest-user list, and users per step of its build.
@@ -277,52 +277,6 @@ def _nearest_lists(pos, grid):
     return near, radius2
 
 
-def _ring_search(xs, ys, cells, nx, h, anchor, cell, edge, lo2, hi2):
-    """(need, near): the anchor's nearest active users by a ring search on the cell grid.
-
-    ``cell`` and ``edge`` are the anchor's cell and edge on the grid
-    (_cell_grid).  After the rings 0..k of cells around the anchor's cell,
-    an unseen user is farther than k + edge cell sides, so the search stops
-    once the users it needs lie nearer than that.  It needs n1, and also n2
-    and n3 (need 3) when the squared first chord lies in [lo2, hi2].
-    ``near`` holds (squared distance, user) pairs in rank order, at least
-    ``need`` of them.
-    """
-    ny = len(cells) // nx
-    ax, ay = xs[anchor], ys[anchor]
-    cy, cx = divmod(cell, nx)
-    # Rings beyond this reach hold only the empty padding cells.
-    reach = max(cx, nx - 1 - cx, cy, ny - 1 - cy) - 1
-    # The first pass takes rings 0 and 1 together, or ring 0 alone in
-    # a crowded cell, where that often holds the nearest users.
-    k = 0 if len(cells[cell]) >= CROWDED_CELL else 1
-    ring = []
-    for y in range(cy - k, cy + k + 1):
-        ring += cells[y * nx + cx - k : y * nx + cx + k + 1]
-    near = []
-    while True:
-        for c in ring:
-            for j in c:
-                dx = xs[j] - ax
-                dy = ys[j] - ay
-                near.append((dx * dx + dy * dy, j))
-        near.sort()
-        bound = (k + edge) * h
-        need = 3 if near and lo2 <= near[0][0] <= hi2 else 1
-        if k >= reach or (len(near) >= need and bound > 0.0 and near[need - 1][0] < bound * bound):
-            return need, near
-        k += 1
-        x_lo, x_hi = max(cx - k, 0), min(cx + k, nx - 1)
-        y_lo, y_hi = max(cy - k + 1, 0), min(cy + k - 1, ny - 1)
-        ring = []
-        for y in {cy - k, cy + k}:
-            if 0 <= y < ny:
-                ring += cells[y * nx + x_lo : y * nx + x_hi + 1]
-        for x in {cx - k, cx + k}:
-            if 0 <= x < nx and y_lo <= y_hi:
-                ring += cells[y_lo * nx + x : y_hi * nx + x + 1 : nx]
-
-
 def anchor_walk(positions, start: int, first_chord=(0.0, math.inf)) -> np.ndarray:
     """The greedy walk's rounds (anchor, n1, n2, n3), shape (U - 3, 4).
 
@@ -333,73 +287,78 @@ def anchor_walk(positions, start: int, first_chord=(0.0, math.inf)) -> np.ndarra
     rounds read -1 there.  Users are ranked by (squared distance, user
     index).
 
-    The walk builds a cell grid of all users (_cell_grid) and, once, each
-    user's list of its nearest users with a certified squared radius
-    (_nearest_lists).  A round scans the anchor's list, skipping retired
-    users, and takes the users it needs from it when all of them lie below
-    the radius: no unlisted user lies nearer.  Otherwise, and for users
-    without a list, the round runs a ring search (_ring_search) over the
-    active users of the grid, which is rebuilt over them, coarser, each
-    time half of its users have retired.
+    The walk builds, once, each user's list of its nearest users with a
+    certified squared radius (_nearest_lists).  A round scans the anchor's
+    list, skipping retired users, and takes the users it needs from it when
+    all of them lie below the radius: no unlisted user lies nearer.
+    Otherwise, and for users without a list, the round scans the active
+    users in index order, so the first minimum has the lowest index.
     """
     pos = np.asarray(positions, dtype=float)
-    grid = _cell_grid(pos, np.arange(len(pos)))
-    near_users, radius2 = _nearest_lists(pos, grid)
+    near_users, radius2 = _nearest_lists(pos, _cell_grid(pos))
     xs, ys = pos.T.tolist()
     lo2, hi2 = (float(c) * float(c) for c in first_chord)
     total = len(pos) - 3
     lists = memoryview(near_users.ravel())
     radius2 = memoryview(radius2)
     retired = bytearray(len(pos))
-    # Each active user's cell and edge on the current grid.
-    cell_of = np.empty(len(pos), dtype=np.intp)
-    edge_of = np.empty(len(pos))
-    cell_at, edge_at = memoryview(cell_of), memoryview(edge_of)
+    # The scanned users ids, in index order, and their coordinates px, py:
+    # a retired user's px is inf, so it is never nearest.  slot maps a
+    # user to its place in ids; the scan's squares go to scan_x and scan_y.
+    ids = np.arange(len(pos))
+    px, py = pos.T.copy()
+    slot = np.arange(len(pos))
+    scan_x, scan_y = np.empty_like(px), np.empty_like(py)
+    px_at, slot_at = memoryview(px), memoryview(slot)
     rounds = np.full((total, 4), -1, dtype=np.intp)
     path = np.empty(total + 1, dtype=np.intp)
     # Round r's anchor is anchors[r] and its n1 anchors[r + 1].
     anchors = memoryview(path)
     anchor = start
-    done = 0
-    while done < total:
-        order, starts, cell, edge, h, nx = grid
-        cell_of[order] = cell
-        edge_of[order] = edge
-        users = order.tolist()
-        cells = [users[a:b] for a, b in pairwise(starts.tolist())]
-        # A grid serves until half of its users have retired.
-        stop = min(total, done + len(users) // 2 + 1)
-        for r in range(done, stop):
-            anchors[r] = anchor
-            ax, ay = xs[anchor], ys[anchor]
-            cells[cell_at[anchor]].remove(anchor)
-            retired[anchor] = 1
-            r2 = radius2[anchor]
-            near = []
-            need = 1
-            for j in lists[anchor * NEAREST_USERS : (anchor + 1) * NEAREST_USERS]:
-                if not retired[j]:
-                    dx = xs[j] - ax
-                    dy = ys[j] - ay
-                    d = dx * dx + dy * dy
-                    if d >= r2:
+    for r in range(total):
+        anchors[r] = anchor
+        ax, ay = xs[anchor], ys[anchor]
+        retired[anchor] = 1
+        px_at[slot_at[anchor]] = math.inf
+        r2 = radius2[anchor]
+        near = []
+        need = 1
+        for j in lists[anchor * NEAREST_USERS : (anchor + 1) * NEAREST_USERS]:
+            if not retired[j]:
+                dx = xs[j] - ax
+                dy = ys[j] - ay
+                d = dx * dx + dy * dy
+                if d >= r2:
+                    break
+                near.append(j)
+                if len(near) == need:
+                    # n2 and n3 are needed only when n1 opens a first chord in the interval.
+                    if need == 3 or not lo2 <= d <= hi2:
                         break
-                    near.append(j)
-                    if len(near) == need:
-                        # n2 and n3 are needed only when n1 opens a first chord in the interval.
-                        if need == 3 or not lo2 <= d <= hi2:
-                            break
-                        need = 3
-            if len(near) < need:
-                need, ranked = _ring_search(
-                    xs, ys, cells, nx, h, anchor, cell_at[anchor], edge_at[anchor], lo2, hi2
-                )
-                near = [j for _, j in ranked[:need]]
-            if need == 3:
-                rounds[r, 2:] = near[1:]
-            anchor = near[0]
-        done = stop
-        grid = _cell_grid(pos, np.fromiter(chain.from_iterable(cells), dtype=np.intp))
+                    need = 3
+        if len(near) < need:
+            # Compact the scan once fewer than half of its slots are live:
+            # len(pos) - r - 1 users are active after this round's anchor.
+            if 2 * (len(pos) - r - 1) < len(ids):
+                keep = px < math.inf
+                ids, px, py = ids[keep], px[keep], py[keep]
+                slot[ids] = np.arange(len(ids))
+                px_at = memoryview(px)
+            d2 = np.subtract(px, ax, out=scan_x[: len(ids)])
+            d2 *= d2
+            dy2 = np.subtract(py, ay, out=scan_y[: len(ids)])
+            dy2 *= dy2
+            d2 += dy2
+            n1 = int(d2.argmin())
+            need = 3 if lo2 <= d2[n1] <= hi2 else 1
+            near = [n1]
+            for _ in range(need - 1):
+                d2[near[-1]] = math.inf
+                near.append(int(d2.argmin()))
+            near = ids[near].tolist()
+        if need == 3:
+            rounds[r, 2:] = near[1:]
+        anchor = near[0]
     anchors[total] = anchor
     rounds[:, 0] = path[:-1]
     rounds[:, 1] = path[1:]

@@ -155,7 +155,7 @@ def test_nearest_lists_are_complete_below_their_radius(drop):
     # the rest of the list lies at or beyond the radius, or repeats the
     # user itself.
     pos, _ = drop
-    near, radius2 = _nearest_lists(pos, _cell_grid(pos, np.arange(len(pos))))
+    near, radius2 = _nearest_lists(pos, _cell_grid(pos))
     assert near.shape == (len(pos), NEAREST_USERS)
     assert_lists_complete(pos, near, radius2, np.flatnonzero(radius2 >= 0.0))
 
@@ -179,7 +179,7 @@ def assert_lists_complete(pos, near, radius2, listed):
 
 def test_most_users_of_a_uniform_drop_get_a_list():
     pos = np.random.default_rng(8).uniform(0.0, 100.0, size=(2000, 2))
-    _, radius2 = _nearest_lists(pos, _cell_grid(pos, np.arange(len(pos))))
+    _, radius2 = _nearest_lists(pos, _cell_grid(pos))
     assert np.mean(radius2 > 0.0) > 0.9
     assert np.all((radius2 > 0.0) | (radius2 == -1.0))
 
@@ -192,7 +192,7 @@ def test_users_next_to_a_crowded_cell_get_a_list():
     rng = np.random.default_rng(12)
     pos = rng.uniform(0.0, 100.0, size=(2000, 2))
     pos[:12] = (50.3, 50.3) + rng.uniform(0.0, 0.01, size=(12, 2))
-    grid = _cell_grid(pos, np.arange(len(pos)))
+    grid = _cell_grid(pos)
     order, starts, cell, _, _, nx = grid
     crowded = np.flatnonzero(np.diff(starts) >= CROWDED_CELL)
     assert cell[order == 0] in crowded
@@ -258,23 +258,23 @@ def _small_grid_drops():
     for count in (5, 6, 7):
         yield np.vstack((square, rng.uniform(0.05, 0.95, size=(count - 4, 2))))
     for count in (8, 9):
-        yield np.full((count, 2), 3.0)  # one point: a single cell, ring 1 is empty
+        yield np.full((count, 2), 3.0)  # one point: a single cell, every distance ties
 
 
 @pytest.mark.parametrize("pos", list(_small_grid_drops()), ids=lambda p: f"{len(p)}users")
 def test_anchor_walk_on_grids_two_cells_across(pos):
     # The grid is padded with one empty cell on each side.
-    _, starts, _, _, _, nx = _cell_grid(pos, np.arange(len(pos)))
+    _, starts, _, _, _, nx = _cell_grid(pos)
     assert nx - 2 <= 2 and (len(starts) - 1) // nx - 2 <= 2
     for start in range(len(pos)):
         np.testing.assert_array_equal(anchor_walk(pos, start), brute_walk(pos, start))
 
 
 def test_anchor_walk_between_far_clusters():
-    # Each cluster fills one cell, so the search starts with ring 0 alone
-    # while that cell is crowded.  Once a cluster has fewer than three
-    # active users left, the nearest users sit many rings out, across the
-    # empty cells between the clusters.
+    # Each cluster fills one cell.  Once a cluster has fewer than three
+    # active users left, the users a round needs sit in the other
+    # cluster, beyond the radius of every list, so the round scans the
+    # active users across the empty cells between the two.
     rng = np.random.default_rng(7)
     pos = np.vstack(
         (rng.uniform(0.0, 1.0, size=(20, 2)), rng.uniform(0.0, 1.0, size=(20, 2)) + (500.0, 300.0))
@@ -287,9 +287,9 @@ def test_anchor_walk_between_far_clusters():
 
 @pytest.mark.parametrize("far", ((1000.0, 0.0), (707.0, 707.0)), ids=("along-x", "diagonal"))
 def test_anchor_walk_memory_on_two_clusters(far):
-    # Each 1 m cluster fills one crowded cell, so no user gets a list.  A
-    # walk without the lists peaks at 0.21 MB on these drops; the lists and
-    # their build may add O(U) arrays, 256 bytes per user.  A build that
+    # Each 1 m cluster fills one crowded cell, so no user gets a list and
+    # every round scans the active users.  The walk peaks at 0.21 MB on
+    # these drops; O(U) arrays may add 256 bytes per user.  A build that
     # ranked every pair in a crowded block would take O(U^2).
     rng = np.random.default_rng(9)
     pos = np.vstack((rng.uniform(0.0, 1.0, size=(500, 2)), rng.uniform(0.0, 1.0, size=(500, 2)) + far))
@@ -306,8 +306,9 @@ def test_anchor_walk_memory_on_two_clusters(far):
 
 
 def test_anchor_walk_on_sparse_drop():
-    # 40 users in a 100 m square: near the end of each grid epoch half the
-    # cells are empty, and the search reaches rings 2 and 3.
+    # 40 users in a 100 m square, from every start: about half of the
+    # rounds find too few active users on their anchor's list and scan,
+    # through two or three compactions of the scan.
     pos = np.random.default_rng(2).uniform(0.0, 100.0, size=(40, 2))
     for start in range(len(pos)):
         np.testing.assert_array_equal(anchor_walk(pos, start), brute_walk(pos, start))
