@@ -89,14 +89,26 @@ def intensity(spec: BeamSpec, r, z):
         Intensity in 1/m^2, unit-normalized: integrating over any
         transverse plane gives total power 1.
     """
+    return mode_intensities(spec, (spec.mode,), r, z)[..., 0]
+
+
+def mode_intensities(spec: BeamSpec, modes, r, z):
+    """Intensities of several modes on spec's wavelength and waist, stacked last.
+
+    Entry [..., k] is the intensity of mode ``modes[k]`` (spec.mode is not
+    read).  The modes share the Gaussian envelope w(z), u = 2 r^2 / w^2 and
+    exp(-u), which are computed once.
+    """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("radial offset must be nonnegative")
-    order = abs(spec.mode)
     w = beam_radius(spec, z)
     u = 2.0 * r * r / (w * w)
-    norm = 2.0 / (math.pi * w * w * math.factorial(order))
-    return norm * u**order * np.exp(-u)
+    decay = np.exp(-u)
+    return np.stack(
+        [2.0 / (math.pi * w * w * math.factorial(abs(m))) * u ** abs(m) * decay for m in modes],
+        axis=-1,
+    )
 
 
 def optimal_ring_radius(spec: BeamSpec, z):

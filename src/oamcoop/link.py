@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import MAX_MODE_ORDER, BeamSpec, intensity, ring_waists
+from .beam import MAX_MODE_ORDER, BeamSpec, intensity, mode_intensities, ring_waists
 from .geometry import Placement, beam_frame_coords
 
 C_LIGHT = 299_792_458.0
@@ -137,15 +137,14 @@ def pair_channels(cfg: LinkConfig, beam: BeamSpec, radial, azimuth, axial) -> np
 
     ``radial``, ``azimuth`` and ``axial`` (nonnegative) are the users'
     beam-frame coordinates (..., 2); ``beam.waist`` is one waist or one per
-    pair (...).  Columns share the waist; only the azimuthal order differs.
+    pair (...).  Columns share the waist and its envelope (mode_intensities);
+    only the azimuthal order differs.  Entries equal mode_field's.
     """
     gain = math.sqrt(cfg.transmit_power * cfg.effective_aperture)
-    waist = np.asarray(beam.waist, dtype=float)[..., None]
-    columns = [
-        mode_field(BeamSpec(beam.wavelength, mode, waist), radial, azimuth, axial)
-        for mode in cfg.mode_set
-    ]
-    return gain * np.stack(columns, axis=-1)
+    spec = BeamSpec(beam.wavelength, beam.mode, np.asarray(beam.waist, dtype=float)[..., None])
+    amp = np.sqrt(mode_intensities(spec, cfg.mode_set, radial, axial))
+    phase = np.asarray(azimuth, dtype=float)[..., None] * np.asarray(cfg.mode_set, dtype=float)
+    return gain * (amp * np.exp(1j * phase))
 
 
 def cug_channel(cfg: LinkConfig, beam: BeamSpec, coords, axial_distances) -> np.ndarray:
@@ -217,11 +216,11 @@ def projection_sinr(channel, azimuths, modes, noise_power: float) -> np.ndarray:
     (..., user, mode) and ``azimuths`` (..., user).
     """
     h = np.asarray(channel, dtype=complex)
-    phase = np.asarray(modes, dtype=float)[:, None] * np.asarray(azimuths, dtype=float)[..., None, :]
-    w = np.exp(1j * phase) / math.sqrt(2.0)
-    power = _abs2(w.conj() @ h)  # [..., recovered mode, transmitted mode]
-    own = np.diagonal(power, axis1=-2, axis2=-1)
-    leak = np.diagonal(power[..., ::-1], axis1=-2, axis2=-1)
+    phase = np.asarray(azimuths, dtype=float)[..., None] * np.asarray(modes, dtype=float)
+    w = (np.exp(1j * phase) / math.sqrt(2.0)).conj()  # conjugate weights [..., user, mode]
+    # w_m^H h_t summed over the two users: own takes t = m, leak the other mode.
+    own = _abs2(w[..., 0, :] * h[..., 0, :] + w[..., 1, :] * h[..., 1, :])
+    leak = _abs2(w[..., 0, :] * h[..., 0, ::-1] + w[..., 1, :] * h[..., 1, ::-1])
     return own / (leak + noise_power)
 
 
@@ -255,25 +254,26 @@ def evaluate_placements(cfg: LinkConfig, placement: Placement, selection, users)
     unreachable ring or an inseparable channel gives the pair zero SINR.
     """
     pos = np.asarray(users, dtype=float)
-    stations = np.asarray(placement.position, dtype=float).reshape(-1, 1, 1, 3)
-    axes = np.asarray(placement.axes, dtype=float).reshape(-1, 2, 1, 3)
+    stations = np.asarray(placement.position, dtype=float).reshape(-1, 3)
+    axes = np.asarray(placement.axes, dtype=float).reshape(-1, 2, 3)
     distances = np.asarray(placement.distances, dtype=float).reshape(-1, 2)
     chords = np.array((selection.chord1, selection.chord2))
     waist = ring_waists(0.5 * chords, distances, cfg.wavelength, cfg.ring_mode)
-    reachable = ~np.isnan(waist)
+    # Only the (placement, pair) entries whose ring is in reach go on.
+    n, k = np.nonzero(~np.isnan(waist))
     ends = pos[[selection.cug1, selection.cug2]]  # [pair, user, xy]
-    coords = beam_frame_coords(stations, axes, ends)  # fields [placement, pair, user]
-    beam = BeamSpec(cfg.wavelength, cfg.ring_mode, np.where(reachable, waist, 1.0))
+    coords = beam_frame_coords(stations[n, None], axes[n, k, None], ends[k])  # fields [entry, user]
+    beam = BeamSpec(cfg.wavelength, cfg.ring_mode, waist[n, k])
     # w(z) is even in z, so a user behind the waist plane sees the
     # mirrored profile.
     channel = pair_channels(cfg, beam, coords.radial, coords.azimuth, np.abs(coords.axial))
     condition, separable = channel_condition(channel)
     sinr = projection_sinr(channel, coords.azimuth, cfg.mode_set, cfg.noise_power)
-    return LinkBatch(
-        waist=waist,
-        sinr=np.where((separable & reachable)[..., None], sinr, 0.0),
-        condition=np.where(reachable, condition, math.inf),
-    )
+    out_sinr = np.zeros(waist.shape + (2,))
+    out_sinr[n, k] = np.where(separable[:, None], sinr, 0.0)
+    out_condition = np.full(waist.shape, math.inf)
+    out_condition[n, k] = condition
+    return LinkBatch(waist=waist, sinr=out_sinr, condition=out_condition)
 
 
 def evaluate_link(cfg: LinkConfig, placement: Placement, selection, users) -> LinkReport:

@@ -235,7 +235,7 @@ def summarize(results) -> dict[str, SchemeSummary]:
 
 
 # Grid stations scored per evaluate_placements call: it bounds the link
-# temporaries, which for a whole 101x101 grid at once hold about 8 MB more.
+# temporaries, which for a whole 101x101 grid at once hold about 5 MB more.
 PLACEMENT_BATCH = 512
 
 

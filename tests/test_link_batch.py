@@ -22,16 +22,21 @@ from oamcoop.link import (
     FLAG_WAIST_INFEASIBLE,
     ILL_CONDITION_LIMIT,
     LinkConfig,
+    _abs2,
     channel_condition,
     evaluate_link,
     evaluate_placements,
     mode_field,
+    projection_sinr,
 )
 from oamcoop.selection import CugSelection
 from oamcoop.sim import ScenarioConfig, se_heatmap
 
 # Fixed examples keep the suite's verdict reproducible run to run.
 PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+# Mode sets drawn by the link scenes: ordered, reversed, even gap, signed.
+MODE_SETS = ((1, 2), (2, 1), (1, 3), (-1, 2), (3, -2))
 
 coordinate = st.floats(-10.0, 10.0, allow_nan=False)
 entry = st.builds(complex, coordinate, coordinate)
@@ -159,7 +164,7 @@ def link_scene(draw):
     stations = np.array(
         [(*draw(ground), draw(height)) for _ in range(draw(st.integers(1, 6)))]
     )
-    modes = draw(st.sampled_from(((1, 2), (2, 1), (1, 3), (-1, 2), (3, -2))))
+    modes = draw(st.sampled_from(MODE_SETS))
     return LinkConfig(mode_set=modes), users, selection, stations
 
 
@@ -176,6 +181,7 @@ def test_batch_matches_per_position_links(scene):
         placement = aim_at_midpoints(station, m1, m2)
         report = evaluate_link(cfg, placement, selection, users)
         assert se_total[n] == pytest.approx(report.se_total, rel=1e-12, abs=0.0)
+        assert se_total[n] == report.se_total
         reference = _reference_link(cfg, placement, selection, users)
         for k, (cug, (se, waist, sinr, flags)) in enumerate(zip(report.cugs, reference)):
             assert cug.flags == flags
@@ -186,6 +192,78 @@ def test_batch_matches_per_position_links(scene):
             else:
                 assert cug.waist == pytest.approx(waist, rel=1e-12)
                 assert batch.waist[n, k] == pytest.approx(waist, rel=1e-12)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lead=st.lists(st.integers(1, 4), max_size=2),
+    modes=st.sampled_from(MODE_SETS),
+    noise=st.sampled_from((1e-12, 1e-3, 1.0)),
+)
+def test_projection_matches_stacked_matmul(seed, lead, modes, noise):
+    # Oracle: w^H h as a stacked 2x2 complex matmul, [..., recovered, transmitted].
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(*lead, 2, 2)) + 1j * rng.normal(size=(*lead, 2, 2))
+    azimuths = rng.uniform(-math.pi, math.pi, size=(*lead, 2))
+    phase = np.asarray(modes, dtype=float)[:, None] * azimuths[..., None, :]
+    w = np.exp(1j * phase) / math.sqrt(2.0)
+    power = _abs2(w.conj() @ h)
+    own = np.diagonal(power, axis1=-2, axis2=-1)
+    leak = np.diagonal(power[..., ::-1], axis1=-2, axis2=-1)
+    sinr = projection_sinr(h, azimuths, modes, noise)
+    assert sinr.shape == (*lead, 2)
+    np.testing.assert_allclose(sinr, own / (leak + noise), rtol=1e-12, atol=0.0)
+
+
+# Pair 1 has an 8 m chord, pair 2 a 3 m chord, so a station at height 60 m
+# reaches pair 1's ring but not pair 2's, and at 3000 m neither.
+EDGE_USERS = np.array([(46.0, 46.0), (54.0, 46.0), (48.5, 54.0), (51.5, 54.0)])
+EDGE_SELECTION = CugSelection(
+    (0, 1),
+    (2, 3),
+    *(math.dist(EDGE_USERS[a], EDGE_USERS[b]) for a, b in ((0, 1), (2, 3), (0, 2), (1, 3))),
+    angle_square_diff=0.0,
+)
+
+
+@pytest.mark.parametrize(
+    "stations, infeasible",
+    [
+        ([(50.0, 50.0, 3000.0), (0.0, 100.0, 3000.0)], [[True, True], [True, True]]),
+        ([(45.0, 50.0, 8.0), (50.0, 50.0, 10.0), (55.0, 52.0, 12.0)], [[False, False]] * 3),
+        (
+            [(50.0, 50.0, 10.0), (50.0, 50.0, 3000.0), (50.0, 50.0, 60.0)],
+            [[False, False], [True, True], [False, True]],
+        ),
+    ],
+    ids=["none-in-reach", "all-in-reach", "one-placement-out-of-reach"],
+)
+@pytest.mark.parametrize("modes", [(1, 2), (1, 3)])
+def test_batch_entries_equal_links_of_one_at_the_reach_edges(stations, infeasible, modes):
+    cfg = LinkConfig(mode_set=modes)
+    m1 = 0.5 * (EDGE_USERS[0] + EDGE_USERS[1])
+    m2 = 0.5 * (EDGE_USERS[2] + EDGE_USERS[3])
+    stations = np.array(stations)
+    batch = evaluate_placements(cfg, aim_at_midpoints(stations, m1, m2), EDGE_SELECTION, EDGE_USERS)
+    n = len(stations)
+    assert batch.waist.shape == batch.condition.shape == (n, 2)
+    assert batch.sinr.shape == (n, 2, 2) and batch.se_total.shape == (n,)
+    out = np.isnan(batch.waist)
+    assert out.tolist() == infeasible
+    assert np.all(batch.sinr[out] == 0.0) and np.all(batch.condition[out] == math.inf)
+    for i, station in enumerate(stations):
+        report = evaluate_link(cfg, aim_at_midpoints(station, m1, m2), EDGE_SELECTION, EDGE_USERS)
+        assert report.se_total == pytest.approx(batch.se_total[i], rel=1e-12, abs=0.0)
+        assert report.se_total == batch.se_total[i]
+        for k, cug in enumerate(report.cugs):
+            assert cug.sinr == tuple(batch.sinr[i, k]) and cug.condition == batch.condition[i, k]
+            if out[i, k]:
+                assert cug.waist is None and cug.flags == (FLAG_WAIST_INFEASIBLE,)
+            else:
+                assert cug.waist == batch.waist[i, k]
+                separable = cug.condition <= ILL_CONDITION_LIMIT
+                assert cug.flags == (() if separable else (FLAG_MODE_INSEPARABLE,))
 
 
 def test_heatmap_rows_equal_per_node_links():
