@@ -113,6 +113,23 @@ def aim_at_midpoints(position, m1, m2) -> Placement:
     return Placement(position=pos, axes=delta / dists[..., None], distances=dists)
 
 
+def _components(v):
+    """x, y and z components of vectors (..., 3)."""
+    v = np.asarray(v, dtype=float)
+    return v[..., 0], v[..., 1], v[..., 2]
+
+
+def _beam_offsets(position, axis, point):
+    """Axial coordinates and transverse offsets (tx, ty, tz) of points from beam axes."""
+    p = np.asarray(position, dtype=float)
+    ax, ay, az = _components(axis)
+    q = np.asarray(point, dtype=float)
+    rx, ry = q[..., 0] - p[..., 0], q[..., 1] - p[..., 1]
+    rz = (q[..., 2] if q.shape[-1] == 3 else 0.0) - p[..., 2]
+    axial = rx * ax + ry * ay + rz * az
+    return axial, (rx - axial * ax, ry - axial * ay, rz - axial * az), (rx, ry, rz)
+
+
 def beam_frame_coords(position, axis, point) -> BeamFrameCoords:
     """Express receive points in the cylindrical frame of beam axes.
 
@@ -123,13 +140,8 @@ def beam_frame_coords(position, axis, point) -> BeamFrameCoords:
     has undefined azimuth and is returned as (0, 0, axial, on_axis=True).
     The arguments broadcast over leading axes; points may be 2D ground points.
     """
-    px, py, pz = np.moveaxis(np.asarray(position, dtype=float), -1, 0)
-    ax, ay, az = np.moveaxis(np.asarray(axis, dtype=float), -1, 0)
-    q = np.asarray(point, dtype=float)
-    rx, ry = q[..., 0] - px, q[..., 1] - py
-    rz = (q[..., 2] if q.shape[-1] == 3 else 0.0) - pz
-    axial = rx * ax + ry * ay + rz * az
-    tx, ty, tz = rx - axial * ax, ry - axial * ay, rz - axial * az
+    axial, (tx, ty, tz), (rx, ry, rz) = _beam_offsets(position, axis, point)
+    ax, ay, az = _components(axis)
     rho = np.sqrt(tx * tx + ty * ty + tz * tz)
     scale = np.sqrt(rx * rx + ry * ry + rz * rz)
     on_axis = rho <= PARALLEL_TOL * np.maximum(scale, 1.0)
@@ -143,6 +155,29 @@ def beam_frame_coords(position, axis, point) -> BeamFrameCoords:
     return BeamFrameCoords(
         np.where(on_axis, 0.0, rho)[()], np.where(on_axis, 0.0, phi)[()], axial, on_axis
     )
+
+
+def pair_frame_coords(position, axis, ends):
+    """Beam-frame radii and axial coordinates of pair users, and their azimuth gap.
+
+    ``position`` and ``axis`` (..., 3) are one beam each and ``ends``
+    (..., 2, 2 or 3) its pair's two users.  Returns ``(radial, axial,
+    gap)``: radial and axial (..., 2) equal beam_frame_coords' off the axis,
+    and gap (...) is user 2's azimuth minus user 1's, wrapped to
+    [-pi, pi], as one arctan2 of the two transverse offsets' cross product
+    along the axis and their dot product.  A beam aimed at its chord
+    midpoint has neither user on its axis, where the gap is undefined.
+    """
+    axis = np.asarray(axis, dtype=float)
+    axial, (tx, ty, tz), _ = _beam_offsets(
+        np.asarray(position, dtype=float)[..., None, :], axis[..., None, :], ends
+    )
+    radial = np.sqrt(tx * tx + ty * ty + tz * tz)
+    x1, x2, y1, y2, z1, z2 = tx[..., 0], tx[..., 1], ty[..., 0], ty[..., 1], tz[..., 0], tz[..., 1]
+    ax, ay, az = _components(axis)
+    cross = ax * (y1 * z2 - z1 * y2) + ay * (z1 * x2 - x1 * z2) + az * (x1 * y2 - y1 * x2)
+    gap = np.arctan2(cross, x1 * x2 + y1 * y2 + z1 * z2)
+    return radial, axial, gap
 
 
 # Reasons a cycle of four points is not a simple quadrilateral, by defect code.

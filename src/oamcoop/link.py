@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beam import MAX_MODE_ORDER, BeamSpec, intensity, mode_intensities, ring_waists
-from .geometry import Placement, beam_frame_coords
+from .geometry import Placement, pair_frame_coords
 
 C_LIGHT = 299_792_458.0
 
@@ -132,51 +132,77 @@ def mode_field(spec: BeamSpec, radial, azimuth, axial):
     return amp * np.exp(1j * spec.mode * np.asarray(azimuth, dtype=float))
 
 
-def pair_channels(cfg: LinkConfig, beam: BeamSpec, radial, azimuth, axial) -> np.ndarray:
-    """Pair channels (..., user, mode): columns follow cfg.mode_set.
+def mode_amplitudes(cfg: LinkConfig, beam: BeamSpec, radial, axial) -> np.ndarray:
+    """Mode amplitudes A_im = sqrt(P * A_eff * I_m) of pair users, (..., user, mode).
 
-    ``radial``, ``azimuth`` and ``axial`` (nonnegative) are the users'
-    beam-frame coordinates (..., 2); ``beam.waist`` is one waist or one per
-    pair (...).  Columns share the waist and its envelope (mode_intensities);
-    only the azimuthal order differs.  Entries equal mode_field's.
+    ``radial`` and ``axial`` (nonnegative) are the users' beam-frame
+    coordinates (..., 2); ``beam.waist`` is one waist or one per pair (...).
+    Columns follow cfg.mode_set and share the waist and its envelope
+    (mode_intensities); only the azimuthal order differs.
     """
     gain = math.sqrt(cfg.transmit_power * cfg.effective_aperture)
     spec = BeamSpec(beam.wavelength, beam.mode, np.asarray(beam.waist, dtype=float)[..., None])
-    amp = np.sqrt(mode_intensities(spec, cfg.mode_set, radial, axial))
-    phase = np.asarray(azimuth, dtype=float)[..., None] * np.asarray(cfg.mode_set, dtype=float)
-    return gain * (amp * np.exp(1j * phase))
+    return gain * np.sqrt(mode_intensities(spec, cfg.mode_set, radial, axial))
 
 
 def cug_channel(cfg: LinkConfig, beam: BeamSpec, coords, axial_distances) -> np.ndarray:
-    """2x2 channel of one pair from its two users' BeamFrameCoords; see pair_channels."""
+    """2x2 channel h_im = A_im exp(i m phi_i) of one pair from its users' BeamFrameCoords."""
     radial = [cu.radial for cu in coords]
-    azimuth = [cu.azimuth for cu in coords]
-    return pair_channels(cfg, beam, radial, azimuth, axial_distances)
+    azimuth = np.array([cu.azimuth for cu in coords], dtype=float)
+    amplitude = mode_amplitudes(cfg, beam, radial, axial_distances)
+    return amplitude * np.exp(1j * azimuth[:, None] * np.asarray(cfg.mode_set, dtype=float))
 
 
-def _abs2(z):
-    return z.real * z.real + z.imag * z.imag
+def half_angle_weights(delta):
+    """cos^2(delta / 2) and sin^2(delta / 2) of relative channel phases delta."""
+    half = 0.5 * np.asarray(delta, dtype=float)
+    cos, sin = np.cos(half), np.sin(half)
+    return cos * cos, sin * sin
 
 
-def channel_condition(channel):
-    """2-norm condition numbers of pair channels (..., 2, 2) and whether modes separate.
+def polar_channel(channel):
+    """Amplitudes |h| (..., 2, 2) and the half-angle weights of h's relative phase.
 
-    Closed form: sigma_max^2 = (||H||_F^2 + sqrt(||H||_F^4 - 4 |det H|^2)) / 2
-    and sigma_max * sigma_min = |det H|.  The discriminant is summed as
-    (p - s)^2 + 4 |q|^2 from the Gram matrix [[p, q], [q*, s]], so a
-    well-conditioned channel keeps full precision.  A singular channel gets
-    inf; beyond ILL_CONDITION_LIMIT the modes count as inseparable.
+    Scaling h's rows and columns by unit phases keeps its singular values,
+    and it turns h into [[A_00, A_01], [A_10, A_11 exp(i delta)]] with
+    delta = arg h_00 - arg h_01 - arg h_10 + arg h_11.  For a channel
+    A_im exp(i m phi_i) of modes (m_1, m_2), delta is
+    (m_1 - m_2)(phi_1 - phi_2) modulo 2 pi.
     """
-    h = np.ascontiguousarray(channel, dtype=complex)
-    # Scaled by the largest entry, no square under- or overflows; dividing
-    # the real parts keeps a subnormal scale from overflowing its reciprocal.
-    scale = np.abs(h).max(axis=(-2, -1), keepdims=True)
-    h = (h.view(float) / np.where(scale > 0.0, scale, 1.0)).view(complex)
-    a, b, c, d = h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1]
-    p = _abs2(a) + _abs2(c)
-    s = _abs2(b) + _abs2(d)
-    top = 0.5 * (p + s + np.sqrt((p - s) ** 2 + 4.0 * _abs2(a.conj() * b + c.conj() * d)))
-    det = np.abs(a * d - b * c)
+    h = np.asarray(channel, dtype=complex)
+    arg = np.angle(h)
+    delta = (arg[..., 0, 0] - arg[..., 0, 1]) - (arg[..., 1, 0] - arg[..., 1, 1])
+    return (np.abs(h), *half_angle_weights(delta))
+
+
+def channel_condition(amplitude, cos2, sin2):
+    """2-norm condition numbers of pair channels and whether modes separate.
+
+    A channel is given by its amplitudes A (..., 2, 2) and the half-angle
+    weights c = cos^2(delta / 2), s = sin^2(delta / 2) of its relative phase
+    (polar_channel).  Closed form: sigma_max^2 = (||H||_F^2 +
+    sqrt(||H||_F^4 - 4 |det H|^2)) / 2 and sigma_max * sigma_min = |det H|,
+    with |det H|^2 = (A_00 A_11 - A_01 A_10)^2 c + (A_00 A_11 + A_01 A_10)^2 s.
+    The discriminant is summed as (p - r)^2 + 4 |q|^2 from the Gram matrix
+    [[p, q], [q*, r]], |q|^2 = (A_00 A_01 + A_10 A_11)^2 c +
+    (A_00 A_01 - A_10 A_11)^2 s, so a well-conditioned channel keeps full
+    precision.  A singular channel gets inf, and so does one whose |det H|
+    underflows (condition beyond about 1e150); beyond ILL_CONDITION_LIMIT
+    the modes count as inseparable.
+    """
+    a = np.asarray(amplitude, dtype=float)
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    # Scaled by the largest entry, no square under- or overflows.
+    scale = np.maximum(np.maximum(a00, a01), np.maximum(a10, a11))
+    scale = np.where(scale > 0.0, scale, 1.0)
+    a00, a01, a10, a11 = a00 / scale, a01 / scale, a10 / scale, a11 / scale
+    p = a00 * a00 + a10 * a10
+    r = a01 * a01 + a11 * a11
+    diagonal, anti = a00 * a11, a01 * a10
+    column0, column1 = a00 * a01, a10 * a11
+    q2 = (column0 + column1) ** 2 * cos2 + (column0 - column1) ** 2 * sin2
+    top = 0.5 * (p + r + np.sqrt((p - r) ** 2 + 4.0 * q2))
+    det = np.sqrt((diagonal - anti) ** 2 * cos2 + (diagonal + anti) ** 2 * sin2)
     condition = np.divide(top, det, out=np.full_like(top, np.inf), where=det > 0.0)
     return condition, condition <= ILL_CONDITION_LIMIT
 
@@ -192,7 +218,7 @@ def zf_sinr(channel, noise_power: float) -> ZfResult:
         raise ValueError("expected a 2x2 channel")
     if not noise_power > 0.0:
         raise ValueError("noise_power must be positive")
-    condition, separable = channel_condition(h)
+    condition, separable = channel_condition(*polar_channel(h))
     if not separable:
         return ZfResult((0.0, 0.0), float(condition), False)
     gram_inv = np.linalg.inv(h.conj().T @ h)
@@ -202,25 +228,27 @@ def zf_sinr(channel, noise_power: float) -> ZfResult:
     return ZfResult(sinr, float(condition), True)
 
 
-def projection_sinr(channel, azimuths, modes, noise_power: float) -> np.ndarray:
+def projection_sinr(amplitude, cos2, sin2, noise_power: float) -> np.ndarray:
     """Per-mode SINR of the helical-phase projection receiver, shape (..., mode).
 
-    w_m = exp(i m phi_i) / sqrt(2) is mode m's helical phase sampled at
-    the users' beam-frame azimuths phi_i; the receiver recovers mode m as
-    w_m^H y, weighting user i's sample by exp(-i m phi_i) / sqrt(2).  With
-    h_m the channel column of mode m,
-    SINR_m = |w_m^H h_m|^2 / (|w_m^H h_other|^2 + noise).  For antipodal
-    users and an odd mode gap this is (A_1m + A_2m)^2 /
-    ((A_1m' - A_2m')^2 + 2 noise) with A_im = |h_im|, so the leakage
-    vanishes exactly when both users see equal amplitudes.  ``channel`` is
-    (..., user, mode) and ``azimuths`` (..., user).
+    The receiver recovers mode m as w_m^H y, weighting user i's sample by
+    exp(-i m phi_i) / sqrt(2), the mode's helical phase at the user's
+    beam-frame azimuth.  On a channel h_im = A_im exp(i m phi_i) the own
+    power |w_m^H h_m|^2 is (A_1m + A_2m)^2 / 2 and the leak from the other
+    mode m' is [(A_1m' + A_2m')^2 c + (A_1m' - A_2m')^2 s] / 2, with c and
+    s the half-angle weights of delta = (m' - m)(phi_1 - phi_2): sums of
+    nonnegative terms, free of cancellation.  For antipodal users and an
+    odd mode gap c = 0, so the leak vanishes exactly when both users see
+    equal amplitudes.  ``amplitude`` is (..., user, mode), the weights (...).
     """
-    h = np.asarray(channel, dtype=complex)
-    phase = np.asarray(azimuths, dtype=float)[..., None] * np.asarray(modes, dtype=float)
-    w = (np.exp(1j * phase) / math.sqrt(2.0)).conj()  # conjugate weights [..., user, mode]
-    # w_m^H h_t summed over the two users: own takes t = m, leak the other mode.
-    own = _abs2(w[..., 0, :] * h[..., 0, :] + w[..., 1, :] * h[..., 1, :])
-    leak = _abs2(w[..., 0, :] * h[..., 0, ::-1] + w[..., 1, :] * h[..., 1, ::-1])
+    a = np.asarray(amplitude, dtype=float)
+    total = a[..., 0, :] + a[..., 1, :]
+    imbalance = a[..., 0, :] - a[..., 1, :]
+    own = 0.5 * total * total
+    # Mode m leaks the other mode's column.
+    cos2 = np.asarray(cos2, dtype=float)[..., None]
+    sin2 = np.asarray(sin2, dtype=float)[..., None]
+    leak = 0.5 * (total[..., ::-1] ** 2 * cos2 + imbalance[..., ::-1] ** 2 * sin2)
     return own / (leak + noise_power)
 
 
@@ -247,11 +275,12 @@ def evaluate_placements(cfg: LinkConfig, placement: Placement, selection, users)
     """Link outcomes of one placement or N (see Placement) serving a selection.
 
     Per pair: re-tune the waist so the ring-mode ring radius equals half the
-    chord at the aim distance, build the channel from the users' beam-frame
-    coordinates, and recover each mode by projection onto its helical phase
-    (projection_sinr).  An aligned pair gets the zero-forcing rate; off the
-    station's bisector a pair loses rate to crosstalk between its modes.  An
-    unreachable ring or an inseparable channel gives the pair zero SINR.
+    chord at the aim distance, take the users' mode amplitudes and the
+    pair's relative phase from their beam-frame coordinates, and recover
+    each mode by projection onto its helical phase (projection_sinr).  An
+    aligned pair gets the zero-forcing rate; off the station's bisector a
+    pair loses rate to crosstalk between its modes.  An unreachable ring or
+    an inseparable channel gives the pair zero SINR.
     """
     pos = np.asarray(users, dtype=float)
     stations = np.asarray(placement.position, dtype=float).reshape(-1, 3)
@@ -259,20 +288,26 @@ def evaluate_placements(cfg: LinkConfig, placement: Placement, selection, users)
     distances = np.asarray(placement.distances, dtype=float).reshape(-1, 2)
     chords = np.array((selection.chord1, selection.chord2))
     waist = ring_waists(0.5 * chords, distances, cfg.wavelength, cfg.ring_mode)
-    # Only the (placement, pair) entries whose ring is in reach go on.
-    n, k = np.nonzero(~np.isnan(waist))
+    # Only the (placement, pair) entries whose ring is in reach go on: flat
+    # entry e is placement e // 2, pair e % 2.
+    entry = np.flatnonzero(~np.isnan(waist))
+    n, k = np.divmod(entry, 2)
     ends = pos[[selection.cug1, selection.cug2]]  # [pair, user, xy]
-    coords = beam_frame_coords(stations[n, None], axes[n, k, None], ends[k])  # fields [entry, user]
-    beam = BeamSpec(cfg.wavelength, cfg.ring_mode, waist[n, k])
+    radial, axial, gap = pair_frame_coords(  # [entry, user], [entry]
+        stations.take(n, axis=0), axes.reshape(-1, 3).take(entry, axis=0), ends.take(k, axis=0)
+    )
+    beam = BeamSpec(cfg.wavelength, cfg.ring_mode, waist.reshape(-1).take(entry))
     # w(z) is even in z, so a user behind the waist plane sees the
     # mirrored profile.
-    channel = pair_channels(cfg, beam, coords.radial, coords.azimuth, np.abs(coords.axial))
-    condition, separable = channel_condition(channel)
-    sinr = projection_sinr(channel, coords.azimuth, cfg.mode_set, cfg.noise_power)
+    amplitude = mode_amplitudes(cfg, beam, radial, np.abs(axial))
+    m1, m2 = cfg.mode_set
+    cos2, sin2 = half_angle_weights((m2 - m1) * gap)
+    condition, separable = channel_condition(amplitude, cos2, sin2)
+    sinr = projection_sinr(amplitude, cos2, sin2, cfg.noise_power)
     out_sinr = np.zeros(waist.shape + (2,))
-    out_sinr[n, k] = np.where(separable[:, None], sinr, 0.0)
+    out_sinr.reshape(-1, 2)[entry] = np.where(separable[:, None], sinr, 0.0)
     out_condition = np.full(waist.shape, math.inf)
-    out_condition[n, k] = condition
+    out_condition.reshape(-1)[entry] = condition
     return LinkBatch(waist=waist, sinr=out_sinr, condition=out_condition)
 
 

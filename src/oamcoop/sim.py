@@ -235,7 +235,8 @@ def summarize(results) -> dict[str, SchemeSummary]:
 
 
 # Grid stations scored per evaluate_placements call: it bounds the link
-# temporaries, which for a whole 101x101 grid at once hold about 5 MB more.
+# temporaries.  One se_heatmap of a 101x101 grid peaks at 0.9 MB of Python
+# allocations (tracemalloc) in blocks of 512 and at 4.7 MB in one block.
 PLACEMENT_BATCH = 512
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from oamcoop import sim
 from oamcoop.beam import BeamSpec, RingTarget, waist_solve
@@ -22,11 +23,12 @@ from oamcoop.link import (
     FLAG_WAIST_INFEASIBLE,
     ILL_CONDITION_LIMIT,
     LinkConfig,
-    _abs2,
     channel_condition,
     evaluate_link,
     evaluate_placements,
+    half_angle_weights,
     mode_field,
+    polar_channel,
     projection_sinr,
 )
 from oamcoop.selection import CugSelection
@@ -37,6 +39,10 @@ PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=
 
 # Mode sets drawn by the link scenes: ordered, reversed, even gap, signed.
 MODE_SETS = ((1, 2), (2, 1), (1, 3), (-1, 2), (3, -2))
+
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
 
 coordinate = st.floats(-10.0, 10.0, allow_nan=False)
 entry = st.builds(complex, coordinate, coordinate)
@@ -53,7 +59,7 @@ def test_condition_matches_svd(h, exponent):
     # Both routes lose relative accuracy in proportion to the condition
     # number itself; below 1e4 they agree to far better than 1e-10.
     assume(reference < 1e4)
-    condition, separable = channel_condition(h)
+    condition, separable = channel_condition(*polar_channel(h))
     assert float(condition) == pytest.approx(reference, rel=1e-10)
     assert separable
 
@@ -63,7 +69,7 @@ def test_condition_matches_svd(h, exponent):
 def test_condition_verdict_matches_svd_off_the_limit(h):
     reference = np.linalg.cond(h)
     assume(not 1e-2 * ILL_CONDITION_LIMIT <= reference <= 1e2 * ILL_CONDITION_LIMIT)
-    _, separable = channel_condition(h)
+    _, separable = channel_condition(*polar_channel(h))
     assert bool(separable) == (reference <= ILL_CONDITION_LIMIT)
 
 
@@ -81,7 +87,7 @@ def test_condition_is_inf_when_rank_deficient(a, c, kind):
         "zero-column": [[a, 0.0], [c, 0.0]],
         "zero-row": [[a, c], [0.0, 0.0]],
     }[kind]
-    condition, separable = channel_condition(np.array(h, dtype=complex))
+    condition, separable = channel_condition(*polar_channel(np.array(h, dtype=complex)))
     assert float(condition) == math.inf
     assert not separable
 
@@ -92,14 +98,14 @@ def test_rank_one_channel_is_inseparable(x, y):
     # the outer product is singular only up to rounding, which leaves det H
     # at rounding level: the verdict, not inf, is what must hold
     assume(min(map(abs, x + y)) > 1e-3)
-    _, separable = channel_condition(np.outer(x, y))
+    _, separable = channel_condition(*polar_channel(np.outer(x, y)))
     assert not separable
 
 
 def test_condition_broadcasts_over_leading_axes():
     rng = np.random.default_rng(3)
     h = rng.normal(size=(5, 3, 2, 2)) + 1j * rng.normal(size=(5, 3, 2, 2))
-    condition, separable = channel_condition(h)
+    condition, separable = channel_condition(*polar_channel(h))
     assert condition.shape == separable.shape == (5, 3)
     np.testing.assert_allclose(condition, np.linalg.cond(h), rtol=1e-9)
 
@@ -202,18 +208,62 @@ def test_batch_matches_per_position_links(scene):
     noise=st.sampled_from((1e-12, 1e-3, 1.0)),
 )
 def test_projection_matches_stacked_matmul(seed, lead, modes, noise):
-    # Oracle: w^H h as a stacked 2x2 complex matmul, [..., recovered, transmitted].
+    # Oracle: w^H h as a stacked 2x2 complex matmul, [..., recovered, transmitted],
+    # on channels h_im = A_im exp(i m phi_i), the form the beam model produces.
     rng = np.random.default_rng(seed)
-    h = rng.normal(size=(*lead, 2, 2)) + 1j * rng.normal(size=(*lead, 2, 2))
+    amplitude = np.abs(rng.normal(size=(*lead, 2, 2)))
     azimuths = rng.uniform(-math.pi, math.pi, size=(*lead, 2))
+    h = amplitude * np.exp(1j * azimuths[..., :, None] * np.asarray(modes, dtype=float))
     phase = np.asarray(modes, dtype=float)[:, None] * azimuths[..., None, :]
     w = np.exp(1j * phase) / math.sqrt(2.0)
     power = _abs2(w.conj() @ h)
     own = np.diagonal(power, axis1=-2, axis2=-1)
     leak = np.diagonal(power[..., ::-1], axis1=-2, axis2=-1)
-    sinr = projection_sinr(h, azimuths, modes, noise)
+    delta = (modes[1] - modes[0]) * (azimuths[..., 1] - azimuths[..., 0])
+    sinr = projection_sinr(amplitude, *half_angle_weights(delta), noise)
     assert sinr.shape == (*lead, 2)
     np.testing.assert_allclose(sinr, own / (leak + noise), rtol=1e-12, atol=0.0)
+
+
+def _reference_projection_and_condition(amplitude, delta, noise):
+    """60-digit SINRs and condition number of [[A_00, A_01], [A_10, A_11 exp(i delta)]]."""
+    with mp.workdps(60):
+        a = [[mp.mpf(float(v)) for v in row] for row in amplitude]
+        turn = mp.expjpi(mp.mpf(float(delta)) / mp.pi)
+        h = mp.matrix([[a[0][0], a[0][1]], [a[1][0], a[1][1] * turn]])
+        # Mode m's projection sums its own column as is and the other column
+        # turned back by the mode gap's phase (see projection_sinr).
+        sinr = []
+        for m in range(2):
+            own = (a[0][m] + a[1][m]) ** 2 / 2
+            leak = abs(a[0][1 - m] + a[1][1 - m] * turn) ** 2 / 2
+            sinr.append(own / (leak + mp.mpf(noise)))
+        sigma = mp.svd_c(h, compute_uv=False)
+        condition = max(sigma[0], sigma[1]) / min(sigma[0], sigma[1])
+        return [float(v) for v in sinr], float(condition)
+
+
+@PROPERTY
+@given(
+    user1=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+    offsets=st.tuples(st.floats(-1e-6, 1e-6), st.floats(-1e-6, 1e-6)),
+    turns=st.integers(-7, 6),
+    twist=st.floats(-1e-6, 1e-6),
+    noise=st.sampled_from((1e-30, 1e-24, 1e-15)),
+)
+def test_near_aligned_link_matches_a_60_digit_reference(user1, offsets, turns, twist, noise):
+    # A near-aligned pair: user 2's amplitudes within 1e-6 of user 1's and a
+    # relative phase within 1e-6 of an odd multiple of pi, where the leak is
+    # the near-cancellation of the two users' samples.
+    amplitude = np.array([user1, [a * (1.0 + e) for a, e in zip(user1, offsets)]])
+    delta = (2 * turns + 1) * math.pi + twist
+    weights = half_angle_weights(delta)
+    sinr = projection_sinr(amplitude, *weights, noise)
+    condition, separable = channel_condition(amplitude, *weights)
+    reference_sinr, reference_condition = _reference_projection_and_condition(amplitude, delta, noise)
+    np.testing.assert_allclose(sinr, reference_sinr, rtol=1e-14, atol=0.0)
+    assert float(condition) == pytest.approx(reference_condition, rel=1e-14, abs=0.0)
+    assert separable
 
 
 # Pair 1 has an 8 m chord, pair 2 a 3 m chord, so a station at height 60 m
