@@ -47,6 +47,11 @@ class BeamSpec:
     def rayleigh_range(self) -> float:
         return math.pi * self.waist**2 / self.wavelength
 
+    def envelope(self, z):
+        """Envelope radius w(z) at axial distances z >= 0, unchecked (beam_radius checks)."""
+        ratio = z / self.rayleigh_range
+        return self.waist * np.sqrt(1.0 + ratio * ratio)
+
 
 @dataclass(frozen=True)
 class RingTarget:
@@ -67,8 +72,7 @@ def beam_radius(spec: BeamSpec, z):
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
         raise ValueError("axial distance must be nonnegative")
-    ratio = z / spec.rayleigh_range
-    return spec.waist * np.sqrt(1.0 + ratio * ratio)
+    return spec.envelope(z)
 
 
 def intensity(spec: BeamSpec, r, z):
@@ -89,20 +93,19 @@ def intensity(spec: BeamSpec, r, z):
         Intensity in 1/m^2, unit-normalized: integrating over any
         transverse plane gives total power 1.
     """
-    return mode_intensities(spec, (spec.mode,), r, z)[..., 0]
-
-
-def mode_intensities(spec: BeamSpec, modes, r, z):
-    """Intensities of several modes on spec's wavelength and waist, stacked last.
-
-    Entry [..., k] is the intensity of mode ``modes[k]`` (spec.mode is not
-    read).  The modes share the Gaussian envelope w(z), u = 2 r^2 / w^2 and
-    exp(-u), which are computed once.
-    """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("radial offset must be nonnegative")
-    w = beam_radius(spec, z)
+    return mode_intensities((spec.mode,), r, beam_radius(spec, z))[..., 0]
+
+
+def mode_intensities(modes, r, w):
+    """Intensities of several modes at radii r in beams of envelope radius w, stacked last.
+
+    Entry [..., k] is the intensity of mode ``modes[k]``.  The modes share
+    u = 2 r^2 / w^2 and exp(-u), which are computed once.  r is an array,
+    taken as nonnegative: intensity is the checked entry point.
+    """
     u = 2.0 * r * r / (w * w)
     decay = np.exp(-u)
     return np.stack(

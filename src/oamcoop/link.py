@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import MAX_MODE_ORDER, BeamSpec, intensity, mode_intensities, ring_waists
+from .beam import MAX_MODE_ORDER, BeamSpec, beam_radius, intensity, mode_intensities, ring_waists
 from .geometry import Placement, pair_frame_coords
 
 C_LIGHT = 299_792_458.0
@@ -132,24 +132,22 @@ def mode_field(spec: BeamSpec, radial, azimuth, axial):
     return amp * np.exp(1j * spec.mode * np.asarray(azimuth, dtype=float))
 
 
-def mode_amplitudes(cfg: LinkConfig, beam: BeamSpec, radial, axial) -> np.ndarray:
+def mode_amplitudes(cfg: LinkConfig, radial, envelope) -> np.ndarray:
     """Mode amplitudes A_im = sqrt(P * A_eff * I_m) of pair users, (..., user, mode).
 
-    ``radial`` and ``axial`` (nonnegative) are the users' beam-frame
-    coordinates (..., 2); ``beam.waist`` is one waist or one per pair (...).
-    Columns follow cfg.mode_set and share the waist and its envelope
-    (mode_intensities); only the azimuthal order differs.
+    ``radial`` (nonnegative) and ``envelope``, the beam radius w at each
+    user, are arrays (..., 2).  Columns follow cfg.mode_set and share the
+    envelope (mode_intensities); only the azimuthal order differs.
     """
     gain = math.sqrt(cfg.transmit_power * cfg.effective_aperture)
-    spec = BeamSpec(beam.wavelength, beam.mode, np.asarray(beam.waist, dtype=float)[..., None])
-    return gain * np.sqrt(mode_intensities(spec, cfg.mode_set, radial, axial))
+    return gain * np.sqrt(mode_intensities(cfg.mode_set, radial, envelope))
 
 
 def cug_channel(cfg: LinkConfig, beam: BeamSpec, coords, axial_distances) -> np.ndarray:
     """2x2 channel h_im = A_im exp(i m phi_i) of one pair from its users' BeamFrameCoords."""
-    radial = [cu.radial for cu in coords]
+    radial = np.array([cu.radial for cu in coords], dtype=float)
     azimuth = np.array([cu.azimuth for cu in coords], dtype=float)
-    amplitude = mode_amplitudes(cfg, beam, radial, axial_distances)
+    amplitude = mode_amplitudes(cfg, radial, beam_radius(beam, axial_distances))
     return amplitude * np.exp(1j * azimuth[:, None] * np.asarray(cfg.mode_set, dtype=float))
 
 
@@ -296,10 +294,10 @@ def evaluate_placements(cfg: LinkConfig, placement: Placement, selection, users)
     radial, axial, gap = pair_frame_coords(  # [entry, user], [entry]
         stations.take(n, axis=0), axes.reshape(-1, 3).take(entry, axis=0), ends.take(k, axis=0)
     )
-    beam = BeamSpec(cfg.wavelength, cfg.ring_mode, waist.reshape(-1).take(entry))
+    beam = BeamSpec(cfg.wavelength, cfg.ring_mode, waist.reshape(-1).take(entry)[:, None])
     # w(z) is even in z, so a user behind the waist plane sees the
     # mirrored profile.
-    amplitude = mode_amplitudes(cfg, beam, radial, np.abs(axial))
+    amplitude = mode_amplitudes(cfg, radial, beam.envelope(np.abs(axial)))
     m1, m2 = cfg.mode_set
     cos2, sin2 = half_angle_weights((m2 - m1) * gap)
     condition, separable = channel_condition(amplitude, cos2, sin2)

@@ -217,9 +217,10 @@ def _cell_grid(pos):
     return rank, starts, cell[rank], edge[rank], h, nx
 
 
-# Length of each user's nearest-user list, and users per step of its build.
+# Length of each user's nearest-user list, and users per step of its
+# build; the steps take the users in order of block size.
 NEAREST_USERS = 8
-NEAREST_BATCH = 128
+NEAREST_BATCH = 256
 
 
 def _nearest_lists(pos, grid):
@@ -234,31 +235,40 @@ def _nearest_lists(pos, grid):
     a row of its block holds 3 * CROWDED_CELL users or more, which keeps
     the build O(U), or when its first NEAREST_USERS + 1 entries are not
     strictly increasing (ties, which the user index would have to break).
+    Users are ranked NEAREST_BATCH at a time, smallest blocks first, each
+    row padded with sentinels at infinity to its step's largest block.
     """
     order, starts, cid, edge, h, nx = grid
     u = len(pos)
     k = NEAREST_USERS
     bound2 = ((1.0 + edge) * h) ** 2
-    xs, ys = pos[order, 0], pos[order, 1]
+    # Cell-order coordinates, then enough sentinels to pad any row.
+    pad = np.full(k + 1 + int(9 * CROWDED_CELL), np.inf)
+    xs, ys = (np.concatenate((pos[order, c], pad)) for c in (0, 1))
     near = np.repeat(np.arange(u, dtype=np.int32), k).reshape(u, k)
     radius2 = np.full(u, -1.0)
-    # The users i and their candidates j are positions in cell order.
-    for lo in range(0, u, NEAREST_BATCH):
-        i = np.arange(lo, min(lo + NEAREST_BATCH, u))
-        # The three cells of a block row are consecutive in cell order, so
-        # their users are one run.
-        row_cells = cid[i, None] + (-nx - 1, -1, nx - 1)
-        first = starts[row_cells]
-        run = starts[row_cells + 3] - first
-        live = run.max(axis=1) < 3 * CROWDED_CELL
-        i, first, run = i[live], first[live], run[live]
+    # The users i and their candidates j are positions in cell order.  The
+    # three cells of a block row are consecutive in cell order, so their
+    # users are one run; a fourth run, of sentinels, pads the row.
+    starts = starts.astype(np.int32)
+    first = starts[cid[:, None] + (-nx - 1, -1, nx - 1, 0)]
+    run = starts[cid[:, None] + (-nx + 2, 2, nx + 2, 0)] - first
+    live = np.flatnonzero(run.max(axis=1) < 3 * CROWDED_CELL)
+    size = run.sum(axis=1, dtype=np.int32)
+    live = live[np.argsort(size[live], kind="stable")]
+    # A row's slot t is candidate t + shift of the run that holds it; the
+    # padding, from slot size on, is the sentinels u, u + 1, ...
+    first[:, 3] = u
+    shift = first + run - run.cumsum(axis=1, dtype=np.int32)
+    for lo in range(0, len(live), NEAREST_BATCH):
+        i = live[lo : lo + NEAREST_BATCH]
+        # At least k + 1 slots, as many as the step's largest block.
+        n, w = len(i), max(int(size[i[-1]]), k + 1)
+        # Row r's slot t is flat slot r * w + t.
+        flat, count = shift[i] - np.arange(0, n * w, w, dtype=np.int32)[:, None], run[i]
+        count[:, 3] = w - size[i]
+        j = (np.repeat(flat.ravel(), count.ravel()) + np.arange(n * w, dtype=np.int32)).reshape(n, w)
         users = order[i]
-        # At least k + 1 slots across the three block rows.
-        w = max(int(run.max(initial=0)), math.ceil((k + 1) / 3))
-        slot = np.arange(w)
-        j = (first[..., None] + slot).reshape(len(i), 3 * w)
-        keep = (slot < run[..., None]).reshape(len(i), 3 * w) & (j != i[:, None])
-        np.minimum(j, u - 1, out=j)
         # Squared distances as the walk computes them, in place.
         d2 = xs[j]
         d2 -= xs[i, None]
@@ -267,11 +277,11 @@ def _nearest_lists(pos, grid):
         dy -= ys[i, None]
         dy *= dy
         d2 += dy
-        d2[~keep] = np.inf
+        np.put(d2, i - flat[:, 1], np.inf)  # each user itself
         top = np.argsort(d2, axis=1)[:, : k + 1]
         s = np.take_along_axis(d2, top, axis=1)
         ranked = np.all((s[:, 1:] > s[:, :-1]) | (s[:, 1:] == np.inf), axis=1)
-        listed = order[np.take_along_axis(j, top[:, :k], axis=1)]
+        listed = order.take(np.take_along_axis(j, top[:, :k], axis=1), mode="clip")
         near[users] = np.where(s[:, :k] < np.inf, listed, users[:, None])
         radius2[users] = np.where(ranked, np.minimum(bound2[i], s[:, k]), -1.0)
     return near, radius2

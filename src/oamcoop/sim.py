@@ -235,9 +235,9 @@ def summarize(results) -> dict[str, SchemeSummary]:
 
 
 # Grid stations scored per evaluate_placements call: it bounds the link
-# temporaries.  One se_heatmap of a 101x101 grid peaks at 0.9 MB of Python
-# allocations (tracemalloc) in blocks of 512 and at 4.7 MB in one block.
-PLACEMENT_BATCH = 512
+# temporaries.  One se_heatmap of a 101x101 grid peaks at 1.5 MB of Python
+# allocations (tracemalloc) in blocks of 2048 and at 4.7 MB in one block.
+PLACEMENT_BATCH = 2048
 
 
 @dataclass(frozen=True, eq=False)

@@ -328,11 +328,13 @@ def test_heatmap_rows_equal_per_node_links():
             assert result.se[j, i] == evaluate_link(cfg.link, placement, sel, pos).se_total
 
 
-@pytest.mark.parametrize("batch", [7, 10_000])
-@pytest.mark.parametrize("grid", [13, 2])
+@pytest.mark.parametrize("batch", [7, 10_000, sim.PLACEMENT_BATCH])
+@pytest.mark.parametrize("grid", [13, 2, 53])
 def test_heatmap_blocks_equal_row_by_row_scoring(monkeypatch, batch, grid):
     # 7 stations per block straddle the rows of a 13-wide grid and leave a
-    # last block of one; 10 000 takes either grid in a single block.
+    # last block of one; 10 000 takes any of these grids in a single block.
+    # The shipped block size splits the 53-wide grid (2809 stations) inside
+    # a row and leaves a shorter last block.
     cfg = replace(ScenarioConfig(), user_count=800, master_seed=3)
     monkeypatch.setattr(sim, "PLACEMENT_BATCH", batch)
     result = se_heatmap(cfg, grid)

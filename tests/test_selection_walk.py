@@ -32,6 +32,7 @@ from oamcoop.geometry import (
 from oamcoop.selection import (
     CHORD_MARGIN,
     CROWDED_CELL,
+    NEAREST_BATCH,
     NEAREST_USERS,
     SelectionConfig,
     _cell_grid,
@@ -202,6 +203,40 @@ def test_users_next_to_a_crowded_cell_get_a_list():
     near, radius2 = _nearest_lists(pos, grid)
     assert np.all(radius2[touching] > 0.0)
     assert_lists_complete(pos, near, radius2, touching)
+
+
+def test_lists_built_in_many_steps_of_mixed_block_sizes():
+    # 4000 users in a 100 m square, 250 more in a 20 m patch, and a crowded
+    # cell of 30 users in a 1 cm square.  The build ranks the listed users
+    # in many steps, from blocks of a few users to blocks of dozens, and
+    # leaves every user whose block has a crowded row without a list.
+    rng = np.random.default_rng(16)
+    pos = np.vstack(
+        (
+            rng.uniform(0.0, 100.0, size=(4000, 2)),
+            rng.uniform(20.0, 40.0, size=(250, 2)),
+            (75.3, 75.3) + rng.uniform(0.0, 0.01, size=(30, 2)),
+        )
+    )
+    grid = _cell_grid(pos)
+    order, starts, cell, _, _, nx = grid
+    counts = np.diff(starts).reshape(-1, nx)
+    cy, cx = np.divmod(cell, nx)
+    rows = np.stack([counts[cy + d, cx - 1] + counts[cy + d, cx] + counts[cy + d, cx + 1] for d in (-1, 0, 1)])
+    block = np.empty(len(pos), dtype=int)
+    block[order] = rows.sum(axis=0)
+    blocked = order[np.any(rows >= 3 * CROWDED_CELL, axis=0)]
+    near, radius2 = _nearest_lists(pos, grid)
+    assert len(blocked) >= 30 and np.all(radius2[blocked] == -1.0)
+    listed = np.flatnonzero(radius2 >= 0.0)
+    assert len(listed) > 4 * NEAREST_BATCH
+    assert block[listed].min() <= NEAREST_USERS and block[listed].max() >= 40
+    # A fixed sample: 100 users of the widest blocks and 200 of the rest.
+    wide = block[listed] >= 30
+    sample = np.concatenate(
+        (rng.choice(listed[wide], 100, replace=False), rng.choice(listed[~wide], 200, replace=False))
+    )
+    assert_lists_complete(pos, near, radius2, np.sort(sample))
 
 
 @PROPERTY
