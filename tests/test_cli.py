@@ -1,5 +1,6 @@
 """Command line surface: exit codes, CSV layout, manifests."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -335,3 +336,27 @@ def test_non_finite_setting_rejected(tmp_path, capsys, key, value):
     assert f"config error: {key}: " in err
     assert ("|mode| <= 20" if key == "link.mode_set" else "finite") in err
     assert not out.exists()
+
+
+# sha256 of the CSV bytes (manifests aside) of two default-config runs per
+# master seed.  Output CSVs are a contract: a refactor must keep them
+# byte-identical at %.9g, and a model change must list each regeneration.
+CLI_CSV_RUNS = {
+    "heatmap": ["heatmap", "--grid", "41"],
+    "sweep": ["sweep", "--axis", "height", "--values", "50,100", "--trials", "5"],
+}
+CLI_CSV_DIGESTS = {
+    ("heatmap", 1): "e84069981ec9282540ef2da6eb092047b448eaac3cb860134041d2048ec8f932",
+    ("heatmap", 2): "a3ded878f08724d06ce0d5b9a6a30f3ad945b3c3ab2da00b0c903415ddc00aef",
+    ("heatmap", 3): "e5ebc546d59075e8544be856a6c5e1685db38f6b183da39f2c6e3a0dd1521c46",
+    ("sweep", 1): "f1385d3560af813dff1ed088404c32f6ef3852586b951007ba3abe619e9ca36f",
+    ("sweep", 2): "33407e691b8d6550531455ae3276a5bd0d5cb8eef7d850abc1802f4e16453edf",
+    ("sweep", 3): "002fd3595d2f8fc278c72ec5020a9dbcbb70962ec58e365c779f382ed9d71f9b",
+}
+
+
+@pytest.mark.parametrize("command,seed", sorted(CLI_CSV_DIGESTS))
+def test_cli_csv_bytes_are_frozen(tmp_path, command, seed):
+    out = tmp_path / f"{command}.csv"
+    assert main(CLI_CSV_RUNS[command] + ["--out", str(out), "--seed", str(seed)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_CSV_DIGESTS[command, seed]
