@@ -217,6 +217,16 @@ def _cell_grid(pos):
     return rank, starts, cell[rank], edge[rank], h, nx
 
 
+def _squared_distances(px, py, x, y, out=None, dy_out=None):
+    """(px - x)**2 + (py - y)**2, into ``out`` and ``dy_out`` if given: the squares every ranking uses."""
+    d2 = np.subtract(px, x, out=out)
+    d2 *= d2
+    dy = np.subtract(py, y, out=dy_out)
+    dy *= dy
+    d2 += dy
+    return d2
+
+
 # Length of each user's nearest-user list, and users per step of its
 # build; the steps take the users in order of block size.
 NEAREST_USERS = 8
@@ -269,14 +279,8 @@ def _nearest_lists(pos, grid):
         count[:, 3] = w - size[i]
         j = (np.repeat(flat.ravel(), count.ravel()) + np.arange(n * w, dtype=np.int32)).reshape(n, w)
         users = order[i]
-        # Squared distances as the walk computes them, in place.
-        d2 = xs[j]
-        d2 -= xs[i, None]
-        d2 *= d2
-        dy = ys[j]
-        dy -= ys[i, None]
-        dy *= dy
-        d2 += dy
+        gx, gy = xs[j], ys[j]
+        d2 = _squared_distances(gx, gy, xs[i, None], ys[i, None], out=gx, dy_out=gy)
         np.put(d2, i - flat[:, 1], np.inf)  # each user itself
         top = np.argsort(d2, axis=1)[:, : k + 1]
         s = np.take_along_axis(d2, top, axis=1)
@@ -287,66 +291,48 @@ def _nearest_lists(pos, grid):
     return near, radius2
 
 
-def anchor_walk(positions, start: int, first_chord=(0.0, math.inf)) -> np.ndarray:
-    """The greedy walk's rounds (anchor, n1, n2, n3), shape (U - 3, 4).
+def anchor_walk(positions, start: int) -> np.ndarray:
+    """The greedy walk's anchor path, shape (U - 2,).
 
-    Each round retires its anchor and records the anchor's nearest active
-    user n1, which anchors the next round.  Only where the first chord
-    |anchor - n1| lies in the inclusive interval ``first_chord`` does the
-    round also record the second and third nearest users n2 and n3; other
-    rounds read -1 there.  Users are ranked by (squared distance, user
-    index).
-
-    The walk builds, once, each user's list of its nearest users with a
-    certified squared radius (_nearest_lists).  A round scans the anchor's
-    list, skipping retired users, and takes the users it needs from it when
-    all of them lie below the radius: no unlisted user lies nearer.
-    Otherwise, and for users without a list, the round scans the active
-    users in index order, so the first minimum has the lowest index.
+    Round r retires its anchor path[r]; the anchor's nearest active user,
+    ranked by (squared distance, user index), is its n1 path[r + 1] and
+    anchors the next round, until three users are left.  The round takes
+    n1 from the anchor's list of nearest users (_nearest_lists, built once)
+    when its first active entry lies below the list's certified radius: no
+    unlisted user lies nearer.  Otherwise, and for users without a list,
+    the round scans the active users in index order, so the first minimum
+    has the lowest index.  complete_rounds finds each round's other pair.
     """
     pos = np.asarray(positions, dtype=float)
     near_users, radius2 = _nearest_lists(pos, _cell_grid(pos))
     xs, ys = pos.T.tolist()
-    lo2, hi2 = (float(c) * float(c) for c in first_chord)
-    total = len(pos) - 3
     lists = memoryview(near_users.ravel())
     radius2 = memoryview(radius2)
     retired = bytearray(len(pos))
-    # The scanned users ids, in index order, and their coordinates px, py:
-    # a retired user's px is inf, so it is never nearest.  slot maps a
-    # user to its place in ids; the scan's squares go to scan_x and scan_y.
+    # The scan's users ids, in index order, and coordinates px, py, where a
+    # retired user's px is inf; slot maps a user to its place in ids.
     ids = np.arange(len(pos))
     px, py = pos.T.copy()
     slot = np.arange(len(pos))
     scan_x, scan_y = np.empty_like(px), np.empty_like(py)
     px_at, slot_at = memoryview(px), memoryview(slot)
-    rounds = np.full((total, 4), -1, dtype=np.intp)
-    path = np.empty(total + 1, dtype=np.intp)
-    # Round r's anchor is anchors[r] and its n1 anchors[r + 1].
+    path = np.empty(len(pos) - 2, dtype=np.intp)
     anchors = memoryview(path)
     anchor = start
-    for r in range(total):
+    for r in range(len(pos) - 3):
         anchors[r] = anchor
         ax, ay = xs[anchor], ys[anchor]
         retired[anchor] = 1
         px_at[slot_at[anchor]] = math.inf
-        r2 = radius2[anchor]
-        near = []
-        need = 1
+        n1 = -1
         for j in lists[anchor * NEAREST_USERS : (anchor + 1) * NEAREST_USERS]:
             if not retired[j]:
                 dx = xs[j] - ax
                 dy = ys[j] - ay
-                d = dx * dx + dy * dy
-                if d >= r2:
-                    break
-                near.append(j)
-                if len(near) == need:
-                    # n2 and n3 are needed only when n1 opens a first chord in the interval.
-                    if need == 3 or not lo2 <= d <= hi2:
-                        break
-                    need = 3
-        if len(near) < need:
+                if dx * dx + dy * dy < radius2[anchor]:
+                    n1 = j
+                break
+        if n1 < 0:
             # Compact the scan once fewer than half of its slots are live:
             # len(pos) - r - 1 users are active after this round's anchor.
             if 2 * (len(pos) - r - 1) < len(ids):
@@ -354,24 +340,46 @@ def anchor_walk(positions, start: int, first_chord=(0.0, math.inf)) -> np.ndarra
                 ids, px, py = ids[keep], px[keep], py[keep]
                 slot[ids] = np.arange(len(ids))
                 px_at = memoryview(px)
-            d2 = np.subtract(px, ax, out=scan_x[: len(ids)])
-            d2 *= d2
-            dy2 = np.subtract(py, ay, out=scan_y[: len(ids)])
-            dy2 *= dy2
-            d2 += dy2
-            n1 = int(d2.argmin())
-            need = 3 if lo2 <= d2[n1] <= hi2 else 1
-            near = [n1]
-            for _ in range(need - 1):
-                d2[near[-1]] = math.inf
-                near.append(int(d2.argmin()))
-            near = ids[near].tolist()
-        if need == 3:
-            rounds[r, 2:] = near[1:]
-        anchor = near[0]
-    anchors[total] = anchor
-    rounds[:, 0] = path[:-1]
-    rounds[:, 1] = path[1:]
+            d2 = _squared_distances(px, py, ax, ay, scan_x[: len(ids)], scan_y[: len(ids)])
+            n1 = int(ids[d2.argmin()])
+        anchor = n1
+    anchors[-1] = anchor
+    return path
+
+
+# Rounds per step of complete_rounds' candidate scan.
+SCAN_ROUNDS = 8
+
+
+def complete_rounds(positions, path, first_chord) -> np.ndarray:
+    """The complete rounds (anchor, n1, n2, n3) of an anchor path, shape (R, 4).
+
+    Round r of ``path`` (anchor_walk) is complete when its first chord
+    |anchor - n1|, computed as _cycle_lengths computes it, lies in the
+    inclusive interval ``first_chord``.  Its n2 and n3 are the two nearest
+    users that retire after n1, ranked by (squared distance, user index):
+    the anchor's second and third nearest active users.  One numpy scan
+    finds them SCAN_ROUNDS rounds at a time.  Rounds keep path order.
+    """
+    xs, ys = np.asarray(positions, dtype=float).T.copy()
+    chord = np.hypot(xs[path[1:]] - xs[path[:-1]], ys[path[1:]] - ys[path[:-1]])
+    kept = np.flatnonzero((first_chord[0] <= chord) & (chord <= first_chord[1]))
+    # Round r retires path[r]; the two users never on the path retire last.
+    retire = np.full(len(xs), len(path))
+    retire[path] = np.arange(len(path))
+    rounds = np.empty((len(kept), 4), dtype=np.intp)
+    rounds[:, :2] = path[kept[:, None] + (0, 1)]
+    for s in range(0, len(kept), SCAN_ROUNDS):
+        step = rounds[s : s + SCAN_ROUNDS]
+        # Round r's n1 retires in round r + 1.
+        after = kept[s : s + SCAN_ROUNDS, None] + 1
+        live = np.flatnonzero(retire > after[0, 0])
+        d2 = _squared_distances(xs[live], ys[live], xs[step[:, :1]], ys[step[:, :1]])
+        d2[retire[live] <= after] = math.inf
+        for c in (2, 3):
+            k = d2.argmin(axis=1)
+            step[:, c] = live[k]
+            d2[np.arange(len(step)), k] = math.inf
     return rounds
 
 
@@ -405,40 +413,30 @@ def _score_rounds(pos, rounds, cfg: SelectionConfig, wavelength: float, mode: in
     return np.where(_screen(pos[rounds], psi, cfg, wavelength, mode), psi, np.inf)
 
 
-# Relative widening of the walk's first-chord interval: far above the
-# rounding gap between the walk's squared chords and the screen's np.hypot.
-CHORD_MARGIN = 1e-9
-
-
 def greedy_select(users, cfg: SelectionConfig, wavelength: float, mode: int, center):
     """Boundary-first iterative selection; returns the best CugSelection or None.
 
     The walk (anchor_walk) starts at the user farthest from ``center``
     (the hotspot center); each of its U - 3 rounds pairs the anchor with
-    its nearest neighbor n1.  Only a round whose first chord can pass the
-    screen, between the ring floor at the minimum height and the pair
-    distance ceiling, is completed with the second/third nearest users as
-    the other pair.  The floor at ``min_height`` lies below every planning
-    and aligned floor, which grow with distance, so no feasible round is
-    left out.  The complete rounds are scored in one vectorised pass
-    (_score_rounds).  The result is the first feasible round whose
-    deviation reaches the stop threshold, else the first of least
-    deviation: the incumbent of a walk that keeps strict improvements and
-    stops at the threshold.
+    its nearest neighbor n1.  Only a round whose first chord lies between
+    the ring floor at the minimum height and the pair distance ceiling is
+    completed with the second/third nearest users as the other pair
+    (complete_rounds).  The screen takes that chord's floor at the planning
+    distance, which is at least the minimum height, and floors grow with
+    distance, so no feasible round is left out.  The complete rounds are
+    scored in one vectorised pass (_score_rounds).  The result is the first
+    feasible round whose deviation reaches the stop threshold, else the
+    first of least deviation: the incumbent of a walk that keeps strict
+    improvements and stops at the threshold.
     """
     pos = np.asarray(users, dtype=float)
-    n = len(pos)
-    if n < 4:
+    if len(pos) < 4:
         raise InsufficientUsersError("insufficient users: need at least 4")
     cx, cy = float(center[0]), float(center[1])
     from_center = (pos[:, 0] - cx) ** 2 + (pos[:, 1] - cy) ** 2
-    first_chord = (
-        float(chord_floor(cfg.min_height, wavelength, mode)) * (1.0 - CHORD_MARGIN),
-        cfg.max_pair_distance * (1.0 + CHORD_MARGIN),
-    )
     start = int(np.argmax(from_center))  # first maximum: lowest index
-    rounds = anchor_walk(pos, start, first_chord)
-    rounds = rounds[rounds[:, 2] >= 0]
+    first_chord = (float(chord_floor(cfg.min_height, wavelength, mode)), cfg.max_pair_distance)
+    rounds = complete_rounds(pos, anchor_walk(pos, start), first_chord)
     if not len(rounds):
         return None
     psi = _score_rounds(pos, rounds, cfg, wavelength, mode)

@@ -1,14 +1,19 @@
 """Two-phase greedy selection against loop references, and the array quad kernel.
 
-The anchor walk is checked against a brute-force walk that ranks every
-active user by (squared distance, user index), with and without a
-first-chord interval, and its nearest-user lists against ranking every
-user; at the paper's user counts, where the brute-force walk is too
-slow, its rounds are frozen as digests.  The vectorised scoring is
-checked against a round-by-round loop that scores one quad at a time and
-keeps a strict running minimum, as the selection did before it was split
-into two phases, and, at the paper's user counts, against scoring every
-full round.
+The selection's rounds come from two parts: the anchor path
+(anchor_walk), in which each round's nearest active user n1 anchors the
+next round, and the candidate query (complete_rounds), which completes
+the rounds whose first chord lies in an interval with the anchor's
+second and third nearest active users.  Both are checked against a
+brute-force walk that ranks every active user by (squared distance, user
+index), with and without a first-chord interval, through ``walk``, which
+lays their output out as the brute-force rounds; the walk's nearest-user
+lists are checked against ranking every user.  At the paper's user
+counts, where the brute-force walk is too slow, the rounds are frozen as
+digests.  The vectorised scoring is checked against a round-by-round
+loop that scores one quad at a time and keeps a strict running minimum,
+as the selection did before it was split into two phases, and, at the
+paper's user counts, against scoring every full round.
 """
 
 import hashlib
@@ -20,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oamcoop import sim
+from oamcoop import selection, sim
 from oamcoop.errors import ParallelChordsError
 from oamcoop.geometry import (
     NOT_SIMPLE,
@@ -30,7 +35,6 @@ from oamcoop.geometry import (
     transmission_distance,
 )
 from oamcoop.selection import (
-    CHORD_MARGIN,
     CROWDED_CELL,
     NEAREST_BATCH,
     NEAREST_USERS,
@@ -41,6 +45,7 @@ from oamcoop.selection import (
     anchor_walk,
     check_constraints,
     chord_floor,
+    complete_rounds,
     greedy_select,
 )
 
@@ -54,8 +59,8 @@ MODE = 1
 def brute_walk(pos, start, first_chord=(0.0, math.inf)):
     """Every round ranks all active users; the reference for anchor_walk.
 
-    n2 and n3 read -1 in rounds whose first chord lies outside the
-    inclusive interval ``first_chord``.
+    n2 and n3 read -1 in rounds whose first chord, from np.hypot, lies
+    outside the inclusive interval ``first_chord``.
     """
     xs, ys = pos[:, 0].tolist(), pos[:, 1].tolist()
     lo, hi = first_chord
@@ -66,7 +71,7 @@ def brute_walk(pos, start, first_chord=(0.0, math.inf)):
         active.discard(anchor)
         ax, ay = xs[anchor], ys[anchor]
         ranked = sorted(((xs[j] - ax) * (xs[j] - ax) + (ys[j] - ay) * (ys[j] - ay), j) for j in active)
-        if lo * lo <= ranked[0][0] <= hi * hi:
+        if lo <= np.hypot(xs[ranked[0][1]] - ax, ys[ranked[0][1]] - ay) <= hi:
             rounds.append((anchor, ranked[0][1], ranked[1][1], ranked[2][1]))
         else:
             rounds.append((anchor, ranked[0][1], -1, -1))
@@ -74,10 +79,25 @@ def brute_walk(pos, start, first_chord=(0.0, math.inf)):
     return np.array(rounds, dtype=np.intp).reshape(-1, 4)
 
 
-def first_chord_squares(pos, rounds):
-    """Squared first chord |anchor - n1| of each round, as the walks compute it."""
+def walk(pos, start, first_chord=(0.0, math.inf)):
+    """anchor_walk and complete_rounds laid out as brute_walk's rounds, (U - 3, 4).
+
+    n2 and n3 read -1 in the rounds that complete_rounds leaves out.
+    """
+    path = anchor_walk(pos, start)
+    rounds = np.full((len(path) - 1, 4), -1, dtype=np.intp)
+    rounds[:, 0], rounds[:, 1] = path[:-1], path[1:]
+    complete = complete_rounds(pos, path, first_chord)
+    round_of = np.empty(len(pos), dtype=np.intp)
+    round_of[path[:-1]] = np.arange(len(path) - 1)
+    rounds[round_of[complete[:, 0]]] = complete
+    return rounds
+
+
+def first_chords(pos, rounds):
+    """First chord |anchor - n1| of each round, from np.hypot as the query computes it."""
     d = pos[rounds[:, 1]] - pos[rounds[:, 0]]
-    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    return np.hypot(d[:, 0], d[:, 1])
 
 
 def loop_select(pos, cfg, center):
@@ -145,7 +165,22 @@ def drops(draw):
 @given(drop=drops())
 def test_anchor_walk_matches_brute_force(drop):
     pos, start = drop
-    np.testing.assert_array_equal(anchor_walk(pos, start), brute_walk(pos, start))
+    np.testing.assert_array_equal(walk(pos, start), brute_walk(pos, start))
+
+
+@pytest.mark.parametrize("scan_rounds", (1, 3), ids=("one-round-steps", "short-last-step"))
+@PROPERTY
+@given(drop=drops())
+def test_complete_rounds_in_short_steps_match_brute_force(scan_rounds, drop):
+    pos, start = drop
+    want = brute_walk(pos, start)
+    path = anchor_walk(pos, start)
+    np.testing.assert_array_equal(path[:-1], want[:, 0])
+    np.testing.assert_array_equal(path[1:], want[:, 1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selection, "SCAN_ROUNDS", scan_rounds)
+        got = complete_rounds(pos, path, (0.0, math.inf))
+    np.testing.assert_array_equal(got, want)
 
 
 @PROPERTY
@@ -249,12 +284,12 @@ def test_interval_walk_matches_brute_force(drop, lo, hi):
     # Lattice drops put first chords of exactly 0, 1 and 2 on the ends;
     # lo > hi gives an empty interval.
     pos, start = drop
-    got = anchor_walk(pos, start, (lo, hi))
+    got = walk(pos, start, (lo, hi))
     np.testing.assert_array_equal(got, brute_walk(pos, start, (lo, hi)))
     full = brute_walk(pos, start)
     np.testing.assert_array_equal(got[:, :2], full[:, :2])
-    d2 = first_chord_squares(pos, full)
-    inside = (lo * lo <= d2) & (d2 <= hi * hi)
+    chord = first_chords(pos, full)
+    inside = (lo <= chord) & (chord <= hi)
     np.testing.assert_array_equal(got[inside, 2:], full[inside, 2:])
     assert np.all(got[~inside, 2:] == -1)
 
@@ -263,20 +298,21 @@ def test_interval_walk_keeps_chords_on_either_end():
     # Integer lattice: first chords of 0, 1, sqrt(2), 2, ... exactly.
     pos = np.random.default_rng(3).integers(0, 8, size=(80, 2)).astype(float)
     full = brute_walk(pos, 0)
-    d2 = first_chord_squares(pos, full)
-    assert {1.0, 4.0} <= set(d2.tolist()) and np.any(d2 < 1.0) and np.any(d2 > 4.0)
-    got = anchor_walk(pos, 0, (1.0, 2.0))
+    chord = first_chords(pos, full)
+    assert {1.0, 2.0} <= set(chord.tolist()) and np.any(chord < 1.0) and np.any(chord > 2.0)
+    got = walk(pos, 0, (1.0, 2.0))
     np.testing.assert_array_equal(got, brute_walk(pos, 0, (1.0, 2.0)))
-    inside = (d2 >= 1.0) & (d2 <= 4.0)
+    inside = (chord >= 1.0) & (chord <= 2.0)
     np.testing.assert_array_equal(got[inside], full[inside])
     assert np.all(got[~inside, 2:] == -1) and np.all(got[~inside, :2] == full[~inside, :2])
 
 
 def test_empty_interval_leaves_no_complete_round():
     pos = np.random.default_rng(4).uniform(0.0, 30.0, size=(200, 2))
-    rounds = anchor_walk(pos, 0, (2.0, 1.0))
+    rounds = walk(pos, 0, (2.0, 1.0))
     np.testing.assert_array_equal(rounds[:, :2], brute_walk(pos, 0)[:, :2])
     assert np.all(rounds[:, 2:] == -1)
+    assert complete_rounds(pos, anchor_walk(pos, 0), (2.0, 1.0)).shape == (0, 4)
     # The ring floor at 200 m (8.74 m) lies above a 3 m pair distance ceiling.
     cfg = SelectionConfig(min_height=200.0, max_pair_distance=3.0)
     assert chord_floor(cfg.min_height, LAM, MODE) > cfg.max_pair_distance
@@ -302,7 +338,7 @@ def test_anchor_walk_on_grids_two_cells_across(pos):
     _, starts, _, _, _, nx = _cell_grid(pos)
     assert nx - 2 <= 2 and (len(starts) - 1) // nx - 2 <= 2
     for start in range(len(pos)):
-        np.testing.assert_array_equal(anchor_walk(pos, start), brute_walk(pos, start))
+        np.testing.assert_array_equal(walk(pos, start), brute_walk(pos, start))
 
 
 def test_anchor_walk_between_far_clusters():
@@ -315,7 +351,7 @@ def test_anchor_walk_between_far_clusters():
         (rng.uniform(0.0, 1.0, size=(20, 2)), rng.uniform(0.0, 1.0, size=(20, 2)) + (500.0, 300.0))
     )
     for start in (0, 25):
-        rounds = anchor_walk(pos, start)
+        rounds = walk(pos, start)
         np.testing.assert_array_equal(rounds, brute_walk(pos, start))
         assert np.any((rounds[:, 0] < 20) != (rounds[:, 1] < 20))
 
@@ -340,13 +376,35 @@ def test_anchor_walk_memory_on_two_clusters(far):
     assert peak < 0.21e6 + 256 * len(pos)
 
 
+@pytest.mark.parametrize("far", ((1000.0, 0.0), (707.0, 707.0)), ids=("along-x", "diagonal"))
+def test_complete_rounds_memory_on_two_clusters(far):
+    # Under the default interval every round is complete.  The query
+    # peaks at 0.42 MB on these drops, scanning SCAN_ROUNDS rounds at a
+    # time; one scan of every round at once would take about 8 MB for
+    # each (rounds x users) array.
+    rng = np.random.default_rng(9)
+    pos = np.vstack((rng.uniform(0.0, 1.0, size=(500, 2)), rng.uniform(0.0, 1.0, size=(500, 2)) + far))
+    path = anchor_walk(pos, 0)
+    complete_rounds(pos, path, (0.0, math.inf))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rounds = complete_rounds(pos, path, (0.0, math.inf))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(rounds) == len(pos) - 3
+    assert peak < 1.0e6
+
+
 def test_anchor_walk_on_sparse_drop():
     # 40 users in a 100 m square, from every start: about half of the
     # rounds find too few active users on their anchor's list and scan,
     # through two or three compactions of the scan.
     pos = np.random.default_rng(2).uniform(0.0, 100.0, size=(40, 2))
     for start in range(len(pos)):
-        np.testing.assert_array_equal(anchor_walk(pos, start), brute_walk(pos, start))
+        np.testing.assert_array_equal(walk(pos, start), brute_walk(pos, start))
 
 
 @PROPERTY
@@ -383,8 +441,9 @@ def test_greedy_matches_round_by_round_loop(
 
 def test_greedy_keeps_a_first_chord_on_the_ceiling():
     # np.hypot rounds this first chord to the ceiling while its squared
-    # length rounds above the ceiling's square: the walk must widen its
-    # interval to complete the round that the screen accepts.
+    # length rounds above the ceiling's square: the query must compare the
+    # np.hypot chord, as the screen does, to complete the round that the
+    # screen accepts.
     x, y = 6.515929727227629, 7.887233511355132
     ceiling = math.hypot(x, y)
     assert x * x + y * y > ceiling * ceiling and np.hypot(x, y) == ceiling
@@ -401,7 +460,7 @@ def test_greedy_keeps_a_first_chord_on_the_ceiling():
 def full_walk_select(pos, cfg, wavelength, mode, center):
     """The greedy pick from every full round of the default-interval walk."""
     from_center = (pos[:, 0] - center[0]) ** 2 + (pos[:, 1] - center[1]) ** 2
-    rounds = anchor_walk(pos, int(np.argmax(from_center)))
+    rounds = walk(pos, int(np.argmax(from_center)))
     psi = _score_rounds(pos, rounds, cfg, wavelength, mode)
     reached = np.flatnonzero(psi <= cfg.stop_threshold)
     w = int(reached[0]) if reached.size else int(np.argmin(psi))
@@ -427,9 +486,9 @@ def test_greedy_matches_full_walk_at_paper_scale(user_count):
             assert sel.angle_square_diff == pytest.approx(want_psi, rel=1e-12, abs=0.0)
 
 
-# sha256 of anchor_walk's rounds as little-endian int64, on trial 0's drop
-# from greedy_select's first anchor, under the default interval and under
-# greedy_select's interval.  The brute-force walk is too slow to check
+# sha256 of the walk's rounds (walk) as little-endian int64, on trial 0's
+# drop from greedy_select's first anchor, under the default interval and
+# under the interval greedy_select used when they were frozen.  The brute-force walk is too slow to check
 # these sizes; any change to the walk must keep them.
 WALK_DIGESTS = {
     (1000, 1, "default"): "d6023e0c66a959016266c53ff77eebc761a6b9fe9272248f98f368e9f9ba1ed3",
@@ -454,23 +513,26 @@ WALK_DIGESTS = {
 
 
 def walk_digests(pos, center, cfg):
-    """sha256 of anchor_walk's rounds from greedy_select's first anchor, per interval.
+    """sha256 of the walk's rounds (walk) from greedy_select's first anchor, per interval.
 
     The rounds are hashed as little-endian int64, under the default
-    interval and under greedy_select's interval for ``cfg``.
+    interval and under the interval from the ring floor at
+    ``cfg.selection.min_height`` to the pair distance ceiling, widened by
+    1e-9 relative on each side as greedy_select's interval was when the
+    digests were frozen.
     """
     start = int(np.argmax((pos[:, 0] - center[0]) ** 2 + (pos[:, 1] - center[1]) ** 2))
     floor = float(chord_floor(cfg.selection.min_height, cfg.link.wavelength, cfg.link.ring_mode))
     intervals = {
         "default": (0.0, math.inf),
         "greedy": (
-            floor * (1.0 - CHORD_MARGIN),
-            cfg.selection.max_pair_distance * (1.0 + CHORD_MARGIN),
+            floor * (1.0 - 1e-9),
+            cfg.selection.max_pair_distance * (1.0 + 1e-9),
         ),
     }
     digests = {}
     for name, first_chord in intervals.items():
-        rounds = np.ascontiguousarray(anchor_walk(pos, start, first_chord), dtype="<i8")
+        rounds = np.ascontiguousarray(walk(pos, start, first_chord), dtype="<i8")
         digests[name] = hashlib.sha256(rounds.tobytes()).hexdigest()
     return digests
 
