@@ -19,12 +19,10 @@ from .beam import (
     waist_solve,
 )
 from .geometry import (
-    BeamFrameCoords,
     GroundPoint,
     Placement,
     aim_at_midpoints,
     angle_square_difference,
-    beam_frame_coords,
     bisector_intersection,
     transmission_distance,
 )
@@ -33,13 +31,9 @@ from .link import (
     LinkBatch,
     LinkConfig,
     LinkReport,
-    ZfResult,
-    cug_channel,
     evaluate_link,
     evaluate_placements,
-    mode_field,
     projection_sinr,
-    zf_sinr,
 )
 from .selection import (
     ConstraintCheck,

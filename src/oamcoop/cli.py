@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .beam import BeamSpec, RingTarget, optimal_ring_radius, waist_solve
+from .beam import BeamSpec, RingTarget, beam_radius, optimal_ring_radius, waist_solve
 from .config import config_echo, load_config
 from .errors import ConfigError, InfeasiblePlacementError, InfeasibleScenarioError, OamCoopError
-from .geometry import aim_at_midpoints, beam_frame_coords, bisector_intersection
-from .link import cug_channel, zf_sinr
+from .geometry import aim_at_midpoints, bisector_intersection, pair_frame_coords
+from .link import channel_condition, half_angle_weights, mode_amplitudes
 from .sim import SCHEMES, ScenarioConfig, run_experiment, se_heatmap, summarize
 
 EXIT_OK = 0
@@ -153,7 +153,8 @@ def _validate_checks(cfg: ScenarioConfig):
 
     modes = cfg.link.mode_set
     parity_even = (modes[0] - modes[1]) % 2 == 0
-    check_modes = modes if not parity_even else (1, 2)
+    probe_cfg = replace(cfg.link, mode_set=modes if not parity_even else (1, 2))
+    m1, m2 = probe_cfg.mode_set
     worst = 0.0
     for _ in range(100):
         chord = float(rng.uniform(2.0, 12.0))
@@ -163,10 +164,7 @@ def _validate_checks(cfg: ScenarioConfig):
         ux = (mx + 0.5 * chord * math.cos(ang), my + 0.5 * chord * math.sin(ang))
         vx = (mx - 0.5 * chord * math.cos(ang), my - 0.5 * chord * math.sin(ang))
         placement = aim_at_midpoints((mx, my, height), (mx, my), (mx, my + 1.0))
-        coords = tuple(
-            beam_frame_coords(placement.position, placement.axes[0], p)
-            for p in (ux, vx)
-        )
+        radial, axial, gap = pair_frame_coords(placement.position, placement.axes[0], (ux, vx))
         ring_mode = cfg.link.ring_mode
         waist = waist_solve(
             RingTarget(max(0.5 * chord, 1.001 * math.sqrt(height * lam * abs(ring_mode) / math.pi)), height),
@@ -174,16 +172,15 @@ def _validate_checks(cfg: ScenarioConfig):
             ring_mode,
         )
         beam = BeamSpec(lam, ring_mode, waist)
-        probe_cfg = replace(cfg.link, mode_set=check_modes)
-        h = cug_channel(
-            probe_cfg, beam, coords, tuple(abs(c.axial) for c in coords)
-        )
-        cross = abs(np.vdot(h[:, 0], h[:, 1]))
-        norms = float(np.linalg.norm(h[:, 0]) * np.linalg.norm(h[:, 1]))
-        if norms > 0.0:
-            worst = max(worst, cross / norms)
-        zf = zf_sinr(h, cfg.link.noise_power)
-        if not zf.separable:
+        a = mode_amplitudes(probe_cfg, radial, beam_radius(beam, np.abs(axial)))
+        cos2, sin2 = half_angle_weights((m2 - m1) * gap)
+        # |h_0^H h_1|^2 / (||h_0||^2 ||h_1||^2) of the mode columns h_im = A_im exp(i m phi_i).
+        user0, user1 = a[0, 0] * a[0, 1], a[1, 0] * a[1, 1]
+        cross2 = (user0 + user1) ** 2 * cos2 + (user0 - user1) ** 2 * sin2
+        norms2 = (a[0, 0] ** 2 + a[1, 0] ** 2) * (a[0, 1] ** 2 + a[1, 1] ** 2)
+        worst = max(worst, math.sqrt(cross2 / norms2))
+        _, separable = channel_condition(a, cos2, sin2)
+        if not separable:
             worst = max(worst, 1.0)
     yield (
         "channel-antipodal-orthogonality",

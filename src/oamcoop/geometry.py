@@ -25,15 +25,6 @@ class GroundPoint(NamedTuple):
     y: float
 
 
-class BeamFrameCoords(NamedTuple):
-    """Cylindrical coordinates of receive points in a beam's own frame (floats or arrays)."""
-
-    radial: float
-    azimuth: float
-    axial: float
-    on_axis: bool
-
-
 @dataclass(frozen=True, eq=False)
 class Placement:
     """Station position plus one aim axis and aim distance per user pair.
@@ -113,68 +104,31 @@ def aim_at_midpoints(position, m1, m2) -> Placement:
     return Placement(position=pos, axes=delta / dists[..., None], distances=dists)
 
 
-def _components(v):
-    """x, y and z components of vectors (..., 3)."""
-    v = np.asarray(v, dtype=float)
-    return v[..., 0], v[..., 1], v[..., 2]
-
-
-def _beam_offsets(position, axis, point):
-    """Axial coordinates and transverse offsets (tx, ty, tz) of points from beam axes."""
-    p = np.asarray(position, dtype=float)
-    ax, ay, az = _components(axis)
-    q = np.asarray(point, dtype=float)
-    rx, ry = q[..., 0] - p[..., 0], q[..., 1] - p[..., 1]
-    rz = (q[..., 2] if q.shape[-1] == 3 else 0.0) - p[..., 2]
-    axial = rx * ax + ry * ay + rz * az
-    return axial, (rx - axial * ax, ry - axial * ay, rz - axial * az), (rx, ry, rz)
-
-
-def beam_frame_coords(position, axis, point) -> BeamFrameCoords:
-    """Express receive points in the cylindrical frame of beam axes.
-
-    The axial coordinate is the signed projection of (point - position) on
-    the unit axis.  Azimuth is measured in the transverse plane against the
-    projection of the global +x axis (global +y when the axis is parallel
-    to x), counterclockwise about the beam direction.  A point on the axis
-    has undefined azimuth and is returned as (0, 0, axial, on_axis=True).
-    The arguments broadcast over leading axes; points may be 2D ground points.
-    """
-    axial, (tx, ty, tz), (rx, ry, rz) = _beam_offsets(position, axis, point)
-    ax, ay, az = _components(axis)
-    rho = np.sqrt(tx * tx + ty * ty + tz * tz)
-    scale = np.sqrt(rx * rx + ry * ry + rz * rz)
-    on_axis = rho <= PARALLEL_TOL * np.maximum(scale, 1.0)
-    # Azimuth from e1, the unit transverse part of global +x (of +y when the
-    # axis is along x), toward e2 = axis x e1.  For transverse t, t . e1 is
-    # t_x / |e1| and t . e2 is (axis x x_hat) . t / |e1|; atan2 drops |e1|.
-    along_x = ay * ay + az * az < 1e-18
-    phi = np.arctan2(
-        np.where(along_x, tz * ax - tx * az, ty * az - tz * ay), np.where(along_x, ty, tx)
-    )
-    return BeamFrameCoords(
-        np.where(on_axis, 0.0, rho)[()], np.where(on_axis, 0.0, phi)[()], axial, on_axis
-    )
-
-
 def pair_frame_coords(position, axis, ends):
     """Beam-frame radii and axial coordinates of pair users, and their azimuth gap.
 
     ``position`` and ``axis`` (..., 3) are one beam each and ``ends``
     (..., 2, 2 or 3) its pair's two users.  Returns ``(radial, axial,
-    gap)``: radial and axial (..., 2) equal beam_frame_coords' off the axis,
-    and gap (...) is user 2's azimuth minus user 1's, wrapped to
-    [-pi, pi], as one arctan2 of the two transverse offsets' cross product
+    gap)``: axial (..., 2) is the signed projection of (user - position) on
+    the unit axis and radial (..., 2) the length of the rest, the user's
+    transverse offset.  gap (...) is user 2's azimuth minus user 1's, a
+    right-handed turn about the axis counting positive, wrapped to
+    [-pi, pi]: one arctan2 of the two transverse offsets' cross product
     along the axis and their dot product.  A beam aimed at its chord
     midpoint has neither user on its axis, where the gap is undefined.
     """
     axis = np.asarray(axis, dtype=float)
-    axial, (tx, ty, tz), _ = _beam_offsets(
-        np.asarray(position, dtype=float)[..., None, :], axis[..., None, :], ends
-    )
+    p = np.asarray(position, dtype=float)[..., None, :]
+    q = np.asarray(ends, dtype=float)
+    ax, ay, az = axis[..., 0], axis[..., 1], axis[..., 2]
+    # The axis broadcast over the pair's two users.
+    ux, uy, uz = ax[..., None], ay[..., None], az[..., None]
+    rx, ry = q[..., 0] - p[..., 0], q[..., 1] - p[..., 1]
+    rz = (q[..., 2] if q.shape[-1] == 3 else 0.0) - p[..., 2]
+    axial = rx * ux + ry * uy + rz * uz
+    tx, ty, tz = rx - axial * ux, ry - axial * uy, rz - axial * uz
     radial = np.sqrt(tx * tx + ty * ty + tz * tz)
     x1, x2, y1, y2, z1, z2 = tx[..., 0], tx[..., 1], ty[..., 0], ty[..., 1], tz[..., 0], tz[..., 1]
-    ax, ay, az = _components(axis)
     cross = ax * (y1 * z2 - z1 * y2) + ay * (z1 * x2 - x1 * z2) + az * (x1 * y2 - y1 * x2)
     gap = np.arctan2(cross, x1 * x2 + y1 * y2 + z1 * z2)
     return radial, axial, gap

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import MAX_MODE_ORDER, BeamSpec, beam_radius, intensity, mode_intensities, ring_waists
+from .beam import MAX_MODE_ORDER, BeamSpec, mode_intensities, ring_waists
 from .geometry import Placement, pair_frame_coords
 
 C_LIGHT = 299_792_458.0
@@ -50,6 +50,9 @@ class LinkConfig:
             raise ValueError("transmit_power must be positive and finite")
         if not 0.0 < self.noise_power < math.inf:
             raise ValueError("noise_power must be positive and finite")
+        for m in self.mode_set:
+            if not float(m).is_integer():
+                raise ValueError(f"mode order {m!r} is not an integer")
         modes = tuple(int(m) for m in self.mode_set)
         if len(modes) != 2 or modes[0] == modes[1]:
             raise ValueError("mode_set must hold exactly two distinct modes")
@@ -78,15 +81,6 @@ class LinkConfig:
         nonzero = [m for m in self.mode_set if m != 0]
         nonzero.sort(key=lambda m: (abs(m), m < 0))
         return nonzero[0]
-
-
-@dataclass(frozen=True)
-class ZfResult:
-    """Zero-forcing outcome: per-mode SINR, condition diagnostic, separability."""
-
-    sinr: tuple[float, float]
-    condition: float
-    separable: bool
 
 
 @dataclass(frozen=True)
@@ -119,36 +113,19 @@ class LinkReport:
         return tuple(seen)
 
 
-def mode_field(spec: BeamSpec, radial, azimuth, axial):
-    """Complex mode amplitude sqrt(I) * exp(i * mode * azimuth) at a point.
-
-    The axial phase is omitted.  It is not shared by the users of a
-    misaligned pair, which sit at different axial distances; it is dropped
-    because each user's own carrier-phase reference absorbs the propagation
-    phase it sees.  The small mode-dependent Gouy phase difference between
-    two users at different axial distances is neglected with it.
-    """
-    amp = np.sqrt(intensity(spec, radial, axial))
-    return amp * np.exp(1j * spec.mode * np.asarray(azimuth, dtype=float))
-
-
 def mode_amplitudes(cfg: LinkConfig, radial, envelope) -> np.ndarray:
     """Mode amplitudes A_im = sqrt(P * A_eff * I_m) of pair users, (..., user, mode).
 
     ``radial`` (nonnegative) and ``envelope``, the beam radius w at each
     user, are arrays (..., 2).  Columns follow cfg.mode_set and share the
-    envelope (mode_intensities); only the azimuthal order differs.
+    envelope (mode_intensities); only the azimuthal order differs.  The
+    channel is h_im = A_im exp(i m phi_i): the axial phase is dropped, since
+    each user's own carrier-phase reference absorbs the propagation phase it
+    sees, and with it the small mode-dependent Gouy phase difference between
+    two users at different axial distances.
     """
     gain = math.sqrt(cfg.transmit_power * cfg.effective_aperture)
     return gain * np.sqrt(mode_intensities(cfg.mode_set, radial, envelope))
-
-
-def cug_channel(cfg: LinkConfig, beam: BeamSpec, coords, axial_distances) -> np.ndarray:
-    """2x2 channel h_im = A_im exp(i m phi_i) of one pair from its users' BeamFrameCoords."""
-    radial = np.array([cu.radial for cu in coords], dtype=float)
-    azimuth = np.array([cu.azimuth for cu in coords], dtype=float)
-    amplitude = mode_amplitudes(cfg, radial, beam_radius(beam, axial_distances))
-    return amplitude * np.exp(1j * azimuth[:, None] * np.asarray(cfg.mode_set, dtype=float))
 
 
 def half_angle_weights(delta):
@@ -158,29 +135,17 @@ def half_angle_weights(delta):
     return cos * cos, sin * sin
 
 
-def polar_channel(channel):
-    """Amplitudes |h| (..., 2, 2) and the half-angle weights of h's relative phase.
-
-    Scaling h's rows and columns by unit phases keeps its singular values,
-    and it turns h into [[A_00, A_01], [A_10, A_11 exp(i delta)]] with
-    delta = arg h_00 - arg h_01 - arg h_10 + arg h_11.  For a channel
-    A_im exp(i m phi_i) of modes (m_1, m_2), delta is
-    (m_1 - m_2)(phi_1 - phi_2) modulo 2 pi.
-    """
-    h = np.asarray(channel, dtype=complex)
-    arg = np.angle(h)
-    delta = (arg[..., 0, 0] - arg[..., 0, 1]) - (arg[..., 1, 0] - arg[..., 1, 1])
-    return (np.abs(h), *half_angle_weights(delta))
-
-
 def channel_condition(amplitude, cos2, sin2):
     """2-norm condition numbers of pair channels and whether modes separate.
 
     A channel is given by its amplitudes A (..., 2, 2) and the half-angle
     weights c = cos^2(delta / 2), s = sin^2(delta / 2) of its relative phase
-    (polar_channel).  Closed form: sigma_max^2 = (||H||_F^2 +
-    sqrt(||H||_F^4 - 4 |det H|^2)) / 2 and sigma_max * sigma_min = |det H|,
-    with |det H|^2 = (A_00 A_11 - A_01 A_10)^2 c + (A_00 A_11 + A_01 A_10)^2 s.
+    delta = arg h_00 - arg h_01 - arg h_10 + arg h_11: scaling h's rows and
+    columns by unit phases keeps its singular values and turns it into
+    [[A_00, A_01], [A_10, A_11 exp(i delta)]].  Closed form: sigma_max^2 =
+    (||H||_F^2 + sqrt(||H||_F^4 - 4 |det H|^2)) / 2 and sigma_max *
+    sigma_min = |det H|, with |det H|^2 = (A_00 A_11 - A_01 A_10)^2 c +
+    (A_00 A_11 + A_01 A_10)^2 s.
     The discriminant is summed as (p - r)^2 + 4 |q|^2 from the Gram matrix
     [[p, q], [q*, r]], |q|^2 = (A_00 A_01 + A_10 A_11)^2 c +
     (A_00 A_01 - A_10 A_11)^2 s, so a well-conditioned channel keeps full
@@ -203,27 +168,6 @@ def channel_condition(amplitude, cos2, sin2):
     det = np.sqrt((diagonal - anti) ** 2 * cos2 + (diagonal + anti) ** 2 * sin2)
     condition = np.divide(top, det, out=np.full_like(top, np.inf), where=det > 0.0)
     return condition, condition <= ILL_CONDITION_LIMIT
-
-
-def zf_sinr(channel, noise_power: float) -> ZfResult:
-    """Per-mode zero-forcing SINR, 1 / (noise * [(H^H H)^-1]_mm).
-
-    A channel that channel_condition marks inseparable is reported with
-    both SINRs zero instead of being inverted.
-    """
-    h = np.asarray(channel, dtype=complex)
-    if h.shape != (2, 2):
-        raise ValueError("expected a 2x2 channel")
-    if not noise_power > 0.0:
-        raise ValueError("noise_power must be positive")
-    condition, separable = channel_condition(*polar_channel(h))
-    if not separable:
-        return ZfResult((0.0, 0.0), float(condition), False)
-    gram_inv = np.linalg.inv(h.conj().T @ h)
-    sinr = tuple(
-        1.0 / (noise_power * float(np.real(gram_inv[m, m]))) for m in range(2)
-    )
-    return ZfResult(sinr, float(condition), True)
 
 
 def projection_sinr(amplitude, cos2, sin2, noise_power: float) -> np.ndarray:

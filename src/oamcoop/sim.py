@@ -257,8 +257,9 @@ def se_heatmap(cfg: ScenarioConfig, grid_size: int) -> HeatmapResult:
     """Evaluate one drop's selection from every point of a position grid.
 
     Uses trial 0's drop and selection; raises InfeasibleScenarioError when
-    the drop yields no selection.  The aligned-scheme position is evaluated
-    separately and reported as the closed-form optimum marker.
+    the drop yields no selection.  The aligned-scheme position, reported as
+    the closed-form optimum marker, is scored as one more station after the
+    grid.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
@@ -272,12 +273,13 @@ def se_heatmap(cfg: ScenarioConfig, grid_size: int) -> HeatmapResult:
     ends = pos[[selection.cug1, selection.cug2]]  # [pair, user, xy]
     m1, m2 = 0.5 * (ends[:, 0] + ends[:, 1])
     station = place_acoc(pos, selection, cfg.fbs_height, cfg.link.wavelength, cfg.link.ring_mode)
-    se_opt = evaluate_link(cfg.link, aim_at_midpoints(station, m1, m2), selection, pos).se_total
     xs = np.linspace(0.0, cfg.hotspot_side, grid_size)
     ys = np.linspace(0.0, cfg.hotspot_side, grid_size)
-    # Row-major, as se is laid out: station j * G + i is (xs[i], ys[j]).
+    # Row-major, as se is laid out: station j * G + i is (xs[i], ys[j]); the
+    # marker's station comes last.
     heights = np.full(grid_size * grid_size, cfg.fbs_height)
-    stations = np.column_stack((np.tile(xs, grid_size), np.repeat(ys, grid_size), heights))
+    grid = np.column_stack((np.tile(xs, grid_size), np.repeat(ys, grid_size), heights))
+    stations = np.vstack((grid, station))
     se = np.empty(len(stations))
     for s in range(0, len(stations), PLACEMENT_BATCH):
         placement = aim_at_midpoints(stations[s : s + PLACEMENT_BATCH], m1, m2)
@@ -285,9 +287,9 @@ def se_heatmap(cfg: ScenarioConfig, grid_size: int) -> HeatmapResult:
     return HeatmapResult(
         xs=xs,
         ys=ys,
-        se=se.reshape(grid_size, grid_size),
+        se=se[:-1].reshape(grid_size, grid_size),
         optimum=(float(station[0]), float(station[1])),
-        se_at_optimum=se_opt,
+        se_at_optimum=float(se[-1]),
         selection=selection,
         drop=drop,
     )

@@ -27,12 +27,8 @@ from oamcoop.errors import (
     InfeasibleScenarioError,
     ParallelChordsError,
 )
-from oamcoop.geometry import (
-    BeamFrameCoords,
-    bisector_intersection,
-    transmission_distance,
-)
-from oamcoop.link import LinkConfig, cug_channel, zf_sinr
+from oamcoop.geometry import bisector_intersection, pair_frame_coords, transmission_distance
+from oamcoop.link import LinkConfig, channel_condition, half_angle_weights, mode_amplitudes
 from oamcoop.selection import (
     SelectionConfig,
     check_constraints,
@@ -311,19 +307,23 @@ def test_c7_mode_separability_parity():
         waist = waist_solve(RingTarget(rho, z), LAM, ring)
         beam = BeamSpec(LAM, cfg.ring_mode, waist)
         phi = float(rng.uniform(-math.pi, math.pi))
-        coords = (
-            BeamFrameCoords(rho, phi, z, False),
-            BeamFrameCoords(rho, phi + math.pi, z, False),
-        )
-        h = cug_channel(cfg, beam, coords, (z, z))
+        # A station at height z aims straight down; its pair sits on the ring
+        # at azimuths phi and phi + pi.
+        ends = rho * np.array([(math.cos(t), math.sin(t)) for t in (phi, phi + math.pi)])
+        radial, axial, gap = pair_frame_coords((0.0, 0.0, z), (0.0, 0.0, -1.0), ends)
+        a = mode_amplitudes(cfg, radial, beam_radius(beam, np.abs(axial)))
+        cos2, sin2 = half_angle_weights((m2 - m1) * gap)
         if parity_odd:
             odd_total += 1
-            dot = abs(np.vdot(h[:, 0], h[:, 1]))
-            norms = float(np.linalg.norm(h[:, 0]) * np.linalg.norm(h[:, 1]))
-            worst_cross = max(worst_cross, dot / norms)
+            # |h_0^H h_1| / (||h_0|| ||h_1||) of the mode columns h_im = A_im exp(i m phi_i).
+            user0, user1 = a[0, 0] * a[0, 1], a[1, 0] * a[1, 1]
+            cross2 = (user0 + user1) ** 2 * cos2 + (user0 - user1) ** 2 * sin2
+            norms2 = (a[0, 0] ** 2 + a[1, 0] ** 2) * (a[0, 1] ** 2 + a[1, 1] ** 2)
+            worst_cross = max(worst_cross, math.sqrt(cross2 / norms2))
         else:
             even_total += 1
-            if not zf_sinr(h, 1e-12).separable:
+            _, separable = channel_condition(a, cos2, sin2)
+            if not separable:
                 even_flagged += 1
     elapsed = time.perf_counter() - t0
     ok = worst_cross < 1e-12 and even_flagged == 100 and elapsed < 5.0

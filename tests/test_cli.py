@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from oamcoop import sim
+from oamcoop import cli, sim
 from oamcoop.cli import (
+    EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -233,6 +234,20 @@ def test_validate_reports_all_pass(capsys):
     lines = [line for line in out.strip().split("\n") if line]
     assert len(lines) >= 4
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_validate_fails_on_a_shifted_pair_gap(monkeypatch, capsys):
+    # The pair's azimuth gap is the link's only source of relative phase, so
+    # a fault in it must fail the check that runs the link's own kernels.
+    coords = cli.pair_frame_coords
+
+    def shifted(*args):
+        radial, axial, gap = coords(*args)
+        return radial, axial, gap + 1e-3
+
+    monkeypatch.setattr(cli, "pair_frame_coords", shifted)
+    assert main(["validate"]) == EXIT_CHECK_FAILED
+    assert "FAIL channel-antipodal-orthogonality" in capsys.readouterr().out
 
 
 def test_validate_warns_on_even_mode_gap(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Config file parsing and scenario assembly."""
 
+import importlib
 import math
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import oamcoop
 from oamcoop.config import (
     KEYS,
     build_scenario,
@@ -171,3 +174,43 @@ def test_readme_table_lists_exactly_the_schema_keys():
     rows = [line for line in section.splitlines() if line.startswith("| `")]
     documented = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
     assert sorted(documented) == sorted(KEYS)
+
+
+# Backticked words in README's "What is inside" that name no package code.
+README_WORDS = {"arctan2"}
+
+
+def test_readme_names_in_what_is_inside_resolve():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## What is inside", 1)[1].split("\n## ", 1)[0]
+    names = [
+        name
+        for name in re.findall(r"`([^`]+)`", section)
+        if re.fullmatch(r"[A-Za-z_]\w*(\.\w+)*", name) and name not in README_WORDS
+    ]
+    assert names
+    # A name resolves from the package, from one of its modules, or as a
+    # scenario config field.
+    modules = [
+        importlib.import_module(f"oamcoop.{m.name}")
+        for m in pkgutil.iter_modules(oamcoop.__path__)
+        if m.name != "__main__"
+    ]
+    roots = [oamcoop, *modules, ScenarioConfig()]
+
+    missing = object()
+
+    def resolves(name):
+        first, *rest = name.split(".")
+        if first == "oamcoop":
+            starts = [oamcoop]
+        else:
+            starts = [getattr(root, first, missing) for root in roots]
+        for obj in starts:
+            for part in rest:
+                obj = getattr(obj, part, missing)
+            if obj is not missing:
+                return True
+        return False
+
+    assert [name for name in names if not resolves(name)] == []

@@ -1,4 +1,4 @@
-"""Station geometry: bisector intersection, beam-frame coordinates, quad angles."""
+"""Station geometry: bisector intersection, pair-frame coordinates, quad angles."""
 
 import math
 
@@ -11,8 +11,8 @@ from oamcoop.geometry import (
     NOT_SIMPLE,
     aim_at_midpoints,
     angle_square_difference,
-    beam_frame_coords,
     bisector_intersection,
+    pair_frame_coords,
     quad_angles,
     transmission_distance,
 )
@@ -177,24 +177,55 @@ def test_aligned_pair_sees_opposite_azimuths():
         pos = np.array([m[0] + t * perp[0], m[1] + t * perp[1], h])
         axis = np.array([m[0], m[1], 0.0]) - pos
         axis /= np.linalg.norm(axis)
-        c1 = beam_frame_coords(pos, axis, np.array([u1[0], u1[1], 0.0]))
-        c2 = beam_frame_coords(pos, axis, np.array([u2[0], u2[1], 0.0]))
+        radial, axial, gap = pair_frame_coords(pos, axis, np.array([u1, u2]))
         half = math.dist(u1, u2) / 2.0
-        assert c1.radial == pytest.approx(half, rel=1e-9)
-        assert c2.radial == pytest.approx(half, rel=1e-9)
-        diff = abs(c1.azimuth - c2.azimuth)
-        assert min(diff, 2.0 * math.pi - diff) == pytest.approx(math.pi, abs=1e-9)
-        assert c1.axial == pytest.approx(c2.axial, rel=1e-9)
-        assert not c1.on_axis
+        assert radial[0] == pytest.approx(half, rel=1e-9)
+        assert radial[1] == pytest.approx(half, rel=1e-9)
+        assert abs(gap) == pytest.approx(math.pi, abs=1e-9)
+        assert axial[0] == pytest.approx(axial[1], rel=1e-9)
 
 
 def test_beam_frame_on_axis_point():
     pos = np.array([0.0, 0.0, 50.0])
     axis = np.array([0.0, 0.0, -1.0])
-    c = beam_frame_coords(pos, axis, np.array([0.0, 0.0, 20.0]))
-    assert c.on_axis
-    assert c.radial == 0.0
-    assert c.axial == pytest.approx(30.0)
+    radial, axial, _ = pair_frame_coords(pos, axis, np.array([[0.0, 0.0, 20.0], [3.0, 4.0, 20.0]]))
+    assert radial[0] == 0.0 and radial[1] == pytest.approx(5.0)
+    assert axial == pytest.approx([30.0, 30.0])
+
+
+def local_frame(position, axis, point):
+    """Radial, azimuth and axial coordinates of a point about a beam; a 2-D point is on the ground.
+
+    The azimuth is measured from e1 = axis x (the x or y unit vector) toward
+    e2 = axis x e1, a right-handed frame built by cross products.
+    """
+    rel = np.array((point[0], point[1], point[2] if len(point) == 3 else 0.0)) - position
+    axial = float(np.dot(rel, axis))
+    t = rel - axial * axis
+    e1 = np.cross(axis, (1.0, 0.0, 0.0) if abs(axis[0]) < 0.9 else (0.0, 1.0, 0.0))
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+    return float(np.linalg.norm(t)), math.atan2(np.dot(t, e2), np.dot(t, e1)), axial
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_pair_frame_coords_match_a_local_frame(dims):
+    rng = np.random.default_rng(37 + dims)
+    n = 200
+    axes = rng.normal(size=(n, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    positions = rng.uniform(-20.0, 20.0, size=(n, 3))
+    ends = rng.uniform(-20.0, 20.0, size=(n, 2, dims))
+    radial, axial, gap = pair_frame_coords(positions, axes, ends)
+    assert radial.shape == axial.shape == (n, 2) and gap.shape == (n,)
+    for k in range(n):
+        (r1, phi1, z1), (r2, phi2, z2) = (
+            local_frame(positions[k], axes[k], end) for end in ends[k]
+        )
+        np.testing.assert_allclose(radial[k], (r1, r2), rtol=1e-9)
+        np.testing.assert_allclose(axial[k], (z1, z2), rtol=1e-9, atol=1e-9)
+        assert -math.pi <= gap[k] <= math.pi
+        assert math.remainder(gap[k] - (phi2 - phi1), 2.0 * math.pi) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_beam_frame_is_right_handed():
@@ -204,47 +235,16 @@ def test_beam_frame_is_right_handed():
         axis /= np.linalg.norm(axis)
         pos = rng.uniform(-10.0, 10.0, 3)
         p = pos + 3.0 * axis + rng.normal(size=3)
-        c0 = beam_frame_coords(pos, axis, p)
-        if c0.on_axis:
-            continue
-        # rotate p a quarter turn about the axis; azimuth must advance by +pi/2
+        # rotate p a quarter turn about the axis; the gap must read +pi/2
         rel = p - pos
         rot = (
             np.dot(axis, rel) * axis
             + np.cos(math.pi / 2.0) * (rel - np.dot(axis, rel) * axis)
             + np.sin(math.pi / 2.0) * np.cross(axis, rel)
         )
-        c1 = beam_frame_coords(pos, axis, pos + rot)
-        delta = (c1.azimuth - c0.azimuth) % (2.0 * math.pi)
-        assert delta == pytest.approx(math.pi / 2.0, abs=1e-9)
-        assert c1.radial == pytest.approx(c0.radial, rel=1e-9)
-
-
-def test_beam_frame_azimuth_matches_both_branches():
-    rng = np.random.default_rng(31)
-    oblique = rng.normal(size=(4, 3))
-    axes = np.vstack(
-        (
-            [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 1e-10, 0.0]],  # along x: the +y reference
-            [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]],
-            oblique / np.linalg.norm(oblique, axis=1, keepdims=True),
-        )
-    )
-    pos = np.array([3.0, -2.0, 40.0])
-    points = rng.uniform(-20.0, 20.0, size=(50, 3))
-    got = beam_frame_coords(pos, axes[:, None, :], points)
-    # The azimuth written out with both arctan2 branches, each over every point.
-    rx, ry, rz = points[:, 0] - pos[0], points[:, 1] - pos[1], points[:, 2] - pos[2]
-    ax, ay, az = (axes[:, k, None] for k in range(3))
-    axial = rx * ax + ry * ay + rz * az
-    tx, ty, tz = rx - axial * ax, ry - axial * ay, rz - axial * az
-    phi = np.where(
-        ay * ay + az * az < 1e-18,
-        np.arctan2(tz * ax - tx * az, ty),
-        np.arctan2(ty * az - tz * ay, tx),
-    )
-    assert not got.on_axis.any()
-    assert np.array_equal(got.azimuth, phi)
+        radial, _, gap = pair_frame_coords(pos, axis, np.array([p, pos + rot]))
+        assert gap == pytest.approx(math.pi / 2.0, abs=1e-9)
+        assert radial[1] == pytest.approx(radial[0], rel=1e-9)
 
 
 def test_square_angles():

@@ -1,26 +1,29 @@
-"""Downlink model: mode fields, pair channels, mode separation, link evaluation."""
+"""Downlink model: mode amplitudes, pair channels, mode separation, link evaluation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oamcoop.beam import BeamSpec, RingTarget, feasible_ring_radius, intensity, waist_solve
-from oamcoop.geometry import (
-    BeamFrameCoords,
-    aim_at_midpoints,
-    beam_frame_coords,
-    bisector_intersection,
+from oamcoop.beam import (
+    BeamSpec,
+    RingTarget,
+    beam_radius,
+    feasible_ring_radius,
+    intensity,
+    waist_solve,
 )
+from oamcoop.geometry import aim_at_midpoints, bisector_intersection, pair_frame_coords
 from oamcoop.link import (
     C_LIGHT,
     FLAG_MODE_INSEPARABLE,
     FLAG_WAIST_INFEASIBLE,
     LinkConfig,
-    cug_channel,
+    channel_condition,
     evaluate_link,
-    mode_field,
-    zf_sinr,
+    half_angle_weights,
+    mode_amplitudes,
 )
 from oamcoop.selection import CugSelection
 
@@ -52,70 +55,39 @@ def test_mode_set_must_be_two_distinct():
         LinkConfig(mode_set=(1,))
 
 
-def test_mode_field_magnitude_and_phase():
-    spec = BeamSpec(0.3, 2, 1.1)
-    rho, phi, z = 1.7, 0.9, 42.0
-    val = mode_field(spec, rho, phi, z)
-    assert abs(val) ** 2 == pytest.approx(float(intensity(spec, rho, z)), rel=1e-12)
-    assert np.angle(val) == pytest.approx(
-        math.remainder(2 * phi, 2 * math.pi), abs=1e-12
-    )
-
-
-def _coords(rho, phi, axial=50.0):
-    return BeamFrameCoords(rho, phi, axial, False)
+@pytest.mark.parametrize(
+    "modes,named", [((1.5, 2), "1.5"), ((1.7, 1.2), "1.7"), ((1, float("nan")), "nan")]
+)
+def test_mode_set_refuses_non_integral_modes(modes, named):
+    with pytest.raises(ValueError, match=f"mode order {named} is not an integer"):
+        LinkConfig(mode_set=modes)
+    assert LinkConfig(mode_set=(2.0, -1.0)).mode_set == (2, -1)
 
 
 def test_channel_columns_follow_mode_set():
     cfg = LinkConfig(mode_set=(2, 1))
     lam = cfg.wavelength
     beam = BeamSpec(lam, cfg.ring_mode, 1.2)
-    coords = (_coords(2.0, 0.3), _coords(2.0, 0.3 + math.pi))
-    h = cug_channel(cfg, beam, coords, (50.0, 50.0))
-    assert h.shape == (2, 2)
-    gain = math.sqrt(cfg.transmit_power * cfg.effective_aperture)
-    from dataclasses import replace
-
+    envelope = beam_radius(beam, np.array([50.0, 50.0]))
+    amplitude = mode_amplitudes(cfg, np.array([2.0, 2.0]), envelope)
+    assert amplitude.shape == (2, 2)
+    gain2 = cfg.transmit_power * cfg.effective_aperture
     for col, mode in enumerate(cfg.mode_set):
-        expect = gain * mode_field(replace(beam, mode=mode), 2.0, 0.3, 50.0)
-        assert h[0, col] == pytest.approx(expect, rel=1e-12)
+        expect = math.sqrt(gain2 * float(intensity(replace(beam, mode=mode), 2.0, 50.0)))
+        assert amplitude[0, col] == pytest.approx(expect, rel=1e-12)
 
 
-def test_zf_orthogonal_equal_norm_columns():
-    g = 3.7e-4
-    h = (g / math.sqrt(2.0)) * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-    res = zf_sinr(h, 1e-12)
-    assert res.separable
-    assert res.sinr[0] == pytest.approx(g * g / 1e-12, rel=1e-12)
-    assert res.sinr[1] == pytest.approx(g * g / 1e-12, rel=1e-12)
+def _antipodal_pair(cfg, beam, rho, phi, z):
+    """Amplitudes and half-angle weights of users at azimuths phi and phi + pi on a ring.
 
-
-def test_zf_matches_svd_combiner():
-    # independent route: SINR_m = 1 / (noise * ||row m of pinv(H)||^2)
-    rng = np.random.default_rng(13)
-    for _ in range(100):
-        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        res = zf_sinr(h, 2.5e-9)
-        if not res.separable:
-            continue
-        pinv = np.linalg.pinv(h)
-        for m in range(2):
-            expect = 1.0 / (2.5e-9 * float(np.sum(np.abs(pinv[m, :]) ** 2)))
-            assert res.sinr[m] == pytest.approx(expect, rel=1e-9)
-
-
-def test_zf_refuses_singular_channel():
-    h = np.array([[1.0, 1.0], [2.0, 2.0]], dtype=complex)
-    res = zf_sinr(h, 1e-12)
-    assert not res.separable
-    assert res.sinr == (0.0, 0.0)
-
-
-def test_zf_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        zf_sinr(np.zeros((3, 2)), 1e-12)
-    with pytest.raises(ValueError):
-        zf_sinr(np.eye(2), 0.0)
+    The station sits at height z above the origin and aims straight down, so
+    the ground users at radius rho are at axial distance z.
+    """
+    ends = rho * np.array([(math.cos(t), math.sin(t)) for t in (phi, phi + math.pi)])
+    radial, axial, gap = pair_frame_coords((0.0, 0.0, z), (0.0, 0.0, -1.0), ends)
+    amplitude = mode_amplitudes(cfg, radial, beam_radius(beam, np.abs(axial)))
+    m1, m2 = cfg.mode_set
+    return amplitude, gap, half_angle_weights((m2 - m1) * gap)
 
 
 def test_antipodal_columns_orthogonal_for_odd_mode_gap():
@@ -134,9 +106,9 @@ def test_antipodal_columns_orthogonal_for_odd_mode_gap():
         waist = waist_solve(RingTarget(rho, z), lam, abs(cfg.ring_mode))
         beam = BeamSpec(lam, cfg.ring_mode, waist)
         phi = float(rng.uniform(-math.pi, math.pi))
-        h = cug_channel(
-            cfg, beam, (_coords(rho, phi, z), _coords(rho, phi + math.pi, z)), (z, z)
-        )
+        amplitude, gap, _ = _antipodal_pair(cfg, beam, rho, phi, z)
+        # The complex columns h_im = A_im exp(i m phi_i), with phi_1 = 0, phi_2 = gap.
+        h = amplitude * np.exp(1j * np.array([0.0, float(gap)])[:, None] * np.array(cfg.mode_set))
         dot = abs(np.vdot(h[:, 0], h[:, 1]))
         norms = np.linalg.norm(h[:, 0]) * np.linalg.norm(h[:, 1])
         assert dot <= 1e-12 * norms
@@ -149,12 +121,10 @@ def test_antipodal_columns_parallel_for_even_mode_gap():
     rho = 3.0
     waist = waist_solve(RingTarget(rho, z), lam, 1)
     beam = BeamSpec(lam, 1, waist)
-    h = cug_channel(
-        cfg, beam, (_coords(rho, 0.4, z), _coords(rho, 0.4 + math.pi, z)), (z, z)
-    )
-    res = zf_sinr(h, 1e-12)
-    assert not res.separable
-    assert res.condition > 1e12 or not math.isfinite(res.condition)
+    amplitude, _, weights = _antipodal_pair(cfg, beam, rho, 0.4, z)
+    condition, separable = channel_condition(amplitude, *weights)
+    assert not separable
+    assert condition > 1e12 or not math.isfinite(condition)
 
 
 def _aligned_setup():
@@ -218,19 +188,16 @@ def test_tilted_pair_leaks_mode_amplitude_imbalance():
     gain2 = cfg.transmit_power * cfg.effective_aperture
     pairs = ((sel.cug1, sel.chord1), (sel.cug2, sel.chord2))
     for k, (pair, chord) in enumerate(pairs):
-        coords = [
-            beam_frame_coords(tilted.position, tilted.axes[k], users[i]) for i in pair
-        ]
-        turn = coords[1].azimuth - coords[0].azimuth - math.pi
-        assert abs(math.remainder(turn, 2 * math.pi)) < 1e-9
-        assert abs(abs(coords[0].axial) - abs(coords[1].axial)) > 0.1
+        radial, axial, gap = pair_frame_coords(tilted.position, tilted.axes[k], users[list(pair)])
+        assert abs(math.remainder(float(gap) - math.pi, 2 * math.pi)) < 1e-9
+        assert abs(abs(axial[0]) - abs(axial[1])) > 0.1
         z = float(tilted.distances[k])
         waist = waist_solve(RingTarget(0.5 * chord, z), lam, 1)
         amp = np.empty((2, 2))  # [user, mode]
-        for i, cu in enumerate(coords):
+        for i in range(2):
             for m, mode in enumerate(cfg.mode_set):
                 beam = BeamSpec(lam, mode, waist)
-                i_m = float(intensity(beam, cu.radial, abs(cu.axial)))
+                i_m = float(intensity(beam, radial[i], abs(axial[i])))
                 amp[i, m] = math.sqrt(gain2 * i_m)
         for m in range(2):
             o = 1 - m

@@ -10,14 +10,9 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from oamcoop import sim
-from oamcoop.beam import BeamSpec, RingTarget, waist_solve
+from oamcoop.beam import BeamSpec, RingTarget, intensity, waist_solve
 from oamcoop.errors import ParallelChordsError, WaistInfeasibleError
-from oamcoop.geometry import (
-    GroundPoint,
-    aim_at_midpoints,
-    beam_frame_coords,
-    bisector_intersection,
-)
+from oamcoop.geometry import GroundPoint, aim_at_midpoints, bisector_intersection
 from oamcoop.link import (
     FLAG_MODE_INSEPARABLE,
     FLAG_WAIST_INFEASIBLE,
@@ -27,12 +22,11 @@ from oamcoop.link import (
     evaluate_link,
     evaluate_placements,
     half_angle_weights,
-    mode_field,
-    polar_channel,
     projection_sinr,
 )
 from oamcoop.selection import CugSelection
 from oamcoop.sim import ScenarioConfig, se_heatmap
+from test_geometry import local_frame
 
 # Fixed examples keep the suite's verdict reproducible run to run.
 PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -42,6 +36,13 @@ MODE_SETS = ((1, 2), (2, 1), (1, 3), (-1, 2), (3, -2))
 
 def _abs2(z):
     return z.real * z.real + z.imag * z.imag
+
+
+def _polar(h):
+    """Amplitudes |h| and the half-angle weights of the relative phase of complex 2x2 channels."""
+    arg = np.angle(h)
+    delta = (arg[..., 0, 0] - arg[..., 0, 1]) - (arg[..., 1, 0] - arg[..., 1, 1])
+    return (np.abs(h), *half_angle_weights(delta))
 
 
 coordinate = st.floats(-10.0, 10.0, allow_nan=False)
@@ -59,7 +60,7 @@ def test_condition_matches_svd(h, exponent):
     # Both routes lose relative accuracy in proportion to the condition
     # number itself; below 1e4 they agree to far better than 1e-10.
     assume(reference < 1e4)
-    condition, separable = channel_condition(*polar_channel(h))
+    condition, separable = channel_condition(*_polar(h))
     assert float(condition) == pytest.approx(reference, rel=1e-10)
     assert separable
 
@@ -69,7 +70,7 @@ def test_condition_matches_svd(h, exponent):
 def test_condition_verdict_matches_svd_off_the_limit(h):
     reference = np.linalg.cond(h)
     assume(not 1e-2 * ILL_CONDITION_LIMIT <= reference <= 1e2 * ILL_CONDITION_LIMIT)
-    _, separable = channel_condition(*polar_channel(h))
+    _, separable = channel_condition(*_polar(h))
     assert bool(separable) == (reference <= ILL_CONDITION_LIMIT)
 
 
@@ -87,7 +88,7 @@ def test_condition_is_inf_when_rank_deficient(a, c, kind):
         "zero-column": [[a, 0.0], [c, 0.0]],
         "zero-row": [[a, c], [0.0, 0.0]],
     }[kind]
-    condition, separable = channel_condition(*polar_channel(np.array(h, dtype=complex)))
+    condition, separable = channel_condition(*_polar(np.array(h, dtype=complex)))
     assert float(condition) == math.inf
     assert not separable
 
@@ -98,14 +99,14 @@ def test_rank_one_channel_is_inseparable(x, y):
     # the outer product is singular only up to rounding, which leaves det H
     # at rounding level: the verdict, not inf, is what must hold
     assume(min(map(abs, x + y)) > 1e-3)
-    _, separable = channel_condition(*polar_channel(np.outer(x, y)))
+    _, separable = channel_condition(*_polar(np.outer(x, y)))
     assert not separable
 
 
 def test_condition_broadcasts_over_leading_axes():
     rng = np.random.default_rng(3)
     h = rng.normal(size=(5, 3, 2, 2)) + 1j * rng.normal(size=(5, 3, 2, 2))
-    condition, separable = channel_condition(*polar_channel(h))
+    condition, separable = channel_condition(*_polar(h))
     assert condition.shape == separable.shape == (5, 3)
     np.testing.assert_allclose(condition, np.linalg.cond(h), rtol=1e-9)
 
@@ -123,20 +124,18 @@ def _reference_link(cfg, placement, selection, users):
         except WaistInfeasibleError:
             out.append((0.0, None, (0.0, 0.0), (FLAG_WAIST_INFEASIBLE,)))
             continue
-        coords = [
-            beam_frame_coords(placement.position, placement.axes[k], users[i]) for i in pair
-        ]
+        coords = [local_frame(placement.position, placement.axes[k], users[i]) for i in pair]
         h = np.empty((2, 2), dtype=complex)
-        for i, cu in enumerate(coords):
+        for i, (radial, azimuth, axial) in enumerate(coords):
             for m, mode in enumerate(cfg.mode_set):
-                beam = BeamSpec(lam, mode, waist)
-                h[i, m] = gain * mode_field(beam, cu.radial, cu.azimuth, abs(cu.axial))
+                field = math.sqrt(float(intensity(BeamSpec(lam, mode, waist), radial, abs(axial))))
+                h[i, m] = gain * field * complex(math.cos(mode * azimuth), math.sin(mode * azimuth))
         if not np.linalg.cond(h) <= ILL_CONDITION_LIMIT:
             out.append((0.0, waist, (0.0, 0.0), (FLAG_MODE_INSEPARABLE,)))
             continue
         sinr = []
         for m, mode in enumerate(cfg.mode_set):
-            w = [complex(math.cos(mode * cu.azimuth), -math.sin(mode * cu.azimuth)) for cu in coords]
+            w = [complex(math.cos(mode * phi), -math.sin(mode * phi)) for _, phi, _ in coords]
             own = abs(w[0] * h[0, m] + w[1] * h[1, m]) ** 2 / 2.0
             leak = abs(w[0] * h[0, 1 - m] + w[1] * h[1, 1 - m]) ** 2 / 2.0
             sinr.append(own / (leak + cfg.noise_power))
