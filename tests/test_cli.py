@@ -259,6 +259,32 @@ def test_validate_warns_on_even_mode_gap(tmp_path, capsys):
     assert rc == EXIT_OK
 
 
+VALIDATE_LINES = [
+    "PASS beam-ring-roundtrip: max relative error 5.301e-16",
+    "PASS beam-boundary-double-root: scaled discriminant 2.167e-16, root error 7.361e-09",
+    "PASS bisector-equidistance: max scaled error 5.324e-16",
+    "PASS channel-antipodal-orthogonality: max normalized cross-talk 3.324e-15",
+]
+PARITY_LINE = (
+    "PASS mode-set-parity: warning: modes (1, 3) differ by an even order; "
+    "aligned pairs are mode-inseparable"
+)
+
+
+@pytest.mark.parametrize(
+    "config,expect",
+    [("", VALIDATE_LINES), ("link.mode_set = 1, 3\n", VALIDATE_LINES + [PARITY_LINE])],
+    ids=["defaults", "even-mode-gap"],
+)
+def test_validate_output_is_frozen(tmp_path, capsys, config, expect):
+    # The exact lines pin the beam and channel kernels validate runs: a
+    # change of arithmetic shows in the printed errors.
+    cfg = tmp_path / "validate.cfg"
+    cfg.write_text(config)
+    assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out == "\n".join(expect) + "\n"
+
+
 @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--trials", "0")])
 def test_rejected_override_is_config_error(tmp_path, small_cfg, capsys, flag, value):
     rc = main(
