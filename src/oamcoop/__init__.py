@@ -11,12 +11,10 @@ __version__ = "0.1.0"
 
 from .beam import (
     BeamSpec,
-    RingTarget,
-    beam_radius,
     feasible_ring_radius,
-    intensity,
+    mode_intensities,
     optimal_ring_radius,
-    waist_solve,
+    ring_waists,
 )
 from .geometry import (
     GroundPoint,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModeOrderError, NoRingError, WaistInfeasibleError
+from .errors import ModeOrderError, NoRingError
 
 # Exact integer factorials keep the normalization bit-stable; beyond this
 # order the model has no validated use, so reject instead of approximating.
@@ -48,63 +48,18 @@ class BeamSpec:
         return math.pi * self.waist**2 / self.wavelength
 
     def envelope(self, z):
-        """Envelope radius w(z) at axial distances z >= 0, unchecked (beam_radius checks)."""
+        """1/e^2 Gaussian envelope radius w(z) at axial distances z >= 0, unchecked."""
         ratio = z / self.rayleigh_range
         return self.waist * np.sqrt(1.0 + ratio * ratio)
-
-
-@dataclass(frozen=True)
-class RingTarget:
-    """Desired intensity-ring radius at a given axial distance."""
-
-    ring_radius: float
-    axial_distance: float
-
-    def __post_init__(self):
-        if not self.ring_radius > 0.0:
-            raise ValueError("ring_radius must be positive")
-        if not self.axial_distance > 0.0:
-            raise ValueError("axial_distance must be positive")
-
-
-def beam_radius(spec: BeamSpec, z):
-    """1/e^2 Gaussian envelope radius w(z) at axial distance z >= 0."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
-        raise ValueError("axial distance must be nonnegative")
-    return spec.envelope(z)
-
-
-def intensity(spec: BeamSpec, r, z):
-    """Transverse intensity at radius r, distance z.
-
-    Parameters
-    ----------
-    spec : BeamSpec
-        Beam under evaluation.
-    r : float or ndarray
-        Radial offset from the beam axis, r >= 0.
-    z : float or ndarray
-        Axial distance from the waist plane, z >= 0.
-
-    Returns
-    -------
-    float or ndarray
-        Intensity in 1/m^2, unit-normalized: integrating over any
-        transverse plane gives total power 1.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
-        raise ValueError("radial offset must be nonnegative")
-    return mode_intensities((spec.mode,), r, beam_radius(spec, z))[..., 0]
 
 
 def mode_intensities(modes, r, w):
     """Intensities of several modes at radii r in beams of envelope radius w, stacked last.
 
     Entry [..., k] is the intensity of mode ``modes[k]``.  The modes share
-    u = 2 r^2 / w^2 and exp(-u), which are computed once.  r is an array,
-    taken as nonnegative: intensity is the checked entry point.
+    u = 2 r^2 / w^2 and exp(-u), which are computed once.  r (nonnegative)
+    and w are arrays, unchecked.  Each profile is unit-normalized:
+    integrating it over a transverse plane gives total power 1.
     """
     u = 2.0 * r * r / (w * w)
     decay = np.exp(-u)
@@ -118,7 +73,10 @@ def optimal_ring_radius(spec: BeamSpec, z):
     """Radius of peak intensity, sqrt(|mode|/2) * w(z); mode 0 has no ring."""
     if spec.mode == 0:
         raise NoRingError("mode 0 beam has no off-axis ring")
-    return math.sqrt(abs(spec.mode) / 2.0) * beam_radius(spec, z)
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0.0):
+        raise ValueError("axial distance must be nonnegative")
+    return math.sqrt(abs(spec.mode) / 2.0) * spec.envelope(z)
 
 
 def feasible_ring_radius(wavelength: float, mode: int, z):
@@ -142,28 +100,16 @@ def feasible_ring_radius(wavelength: float, mode: int, z):
     return np.sqrt(z * wavelength * abs(mode) / math.pi)
 
 
-def waist_solve(target: RingTarget, wavelength: float, mode: int) -> float:
-    """Waist that places the intensity ring exactly at the target.
+def ring_waists(ring_radius, z, wavelength: float, mode: int) -> np.ndarray:
+    """Waists that put the intensity ring at ring_radius at distances z > 0, broadcast.
 
     The ring condition is a quadratic in the squared waist; the smaller of
     its two roots is returned, which is the branch a source can reach by
-    focusing.  Raises WaistInfeasibleError (with the radius deficit) when
-    the target lies below the diffraction floor and no waist exists.
+    focusing.  NaN where the ring lies below the diffraction floor
+    (feasible_ring_radius) and no waist exists.
     """
-    r = target.ring_radius
-    z = target.axial_distance
-    floor = float(feasible_ring_radius(wavelength, mode, z))
-    if r < floor:
-        raise WaistInfeasibleError(
-            f"waist does not exist: ring radius {r:.6g} m is below the "
-            f"feasibility floor {floor:.6g} m at z = {z:.6g} m",
-            deficit=floor - r,
-        )
-    return float(ring_waists(r, z, wavelength, mode))
-
-
-def ring_waists(ring_radius, z, wavelength: float, mode: int) -> np.ndarray:
-    """waist_solve over broadcast arrays (z > 0): NaN where the ring is below the floor."""
+    # The floor checks mode, wavelength and z before any arithmetic uses them.
+    floor = feasible_ring_radius(wavelength, mode, z)
     r = np.asarray(ring_radius, dtype=float)
     z = np.asarray(z, dtype=float)
     half_sum = r * r / abs(mode)  # half the sum of the two roots in waist^2
@@ -173,4 +119,4 @@ def ring_waists(ring_radius, z, wavelength: float, mode: int) -> np.ndarray:
     # Quotient form of the smaller root avoids cancellation when the roots
     # are far apart (tight focus at long range).
     waist = np.sqrt(product / (half_sum + np.sqrt(disc)))
-    return np.where(r < feasible_ring_radius(wavelength, mode, z), np.nan, waist)
+    return np.where(r < floor, np.nan, waist)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .beam import BeamSpec, RingTarget, beam_radius, optimal_ring_radius, waist_solve
+from .beam import BeamSpec, optimal_ring_radius, ring_waists
 from .config import config_echo, load_config
 from .errors import ConfigError, InfeasiblePlacementError, InfeasibleScenarioError, OamCoopError
 from .geometry import aim_at_midpoints, bisector_intersection, pair_frame_coords
@@ -117,7 +117,7 @@ def _validate_checks(cfg: ScenarioConfig):
         z = float(rng.uniform(5.0, 400.0))
         floor = math.sqrt(z * lam * mode / math.pi)
         radius = floor * float(rng.uniform(1.0001, 8.0))
-        waist = waist_solve(RingTarget(radius, z), lam, mode)
+        waist = float(ring_waists(radius, z, lam, mode))
         back = float(optimal_ring_radius(BeamSpec(lam, mode, waist), z))
         worst = max(worst, abs(back - radius) / radius)
     yield "beam-ring-roundtrip", worst <= 1e-9, f"max relative error {worst:.3e}"
@@ -128,7 +128,7 @@ def _validate_checks(cfg: ScenarioConfig):
     half_sum = floor * floor / mode
     product = (z * lam / math.pi) ** 2
     disc = abs(half_sum * half_sum - product) / (half_sum * half_sum)
-    waist = waist_solve(RingTarget(floor, z), lam, mode)
+    waist = float(ring_waists(floor, z, lam, mode))
     expect = math.sqrt(half_sum)
     err = abs(waist - expect) / expect
     # The discriminant itself is the quantity that must vanish; the root value
@@ -166,13 +166,9 @@ def _validate_checks(cfg: ScenarioConfig):
         placement = aim_at_midpoints((mx, my, height), (mx, my), (mx, my + 1.0))
         radial, axial, gap = pair_frame_coords(placement.position, placement.axes[0], (ux, vx))
         ring_mode = cfg.link.ring_mode
-        waist = waist_solve(
-            RingTarget(max(0.5 * chord, 1.001 * math.sqrt(height * lam * abs(ring_mode) / math.pi)), height),
-            lam,
-            ring_mode,
-        )
-        beam = BeamSpec(lam, ring_mode, waist)
-        a = mode_amplitudes(probe_cfg, radial, beam_radius(beam, np.abs(axial)))
+        rho = max(0.5 * chord, 1.001 * math.sqrt(height * lam * abs(ring_mode) / math.pi))
+        beam = BeamSpec(lam, ring_mode, ring_waists(rho, height, lam, ring_mode))
+        a = mode_amplitudes(probe_cfg, radial, beam.envelope(np.abs(axial)))
         cos2, sin2 = half_angle_weights((m2 - m1) * gap)
         # |h_0^H h_1|^2 / (||h_0||^2 ||h_1||^2) of the mode columns h_im = A_im exp(i m phi_i).
         user0, user1 = a[0, 0] * a[0, 1], a[1, 0] * a[1, 1]
@@ -220,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_heat.add_argument("--out", type=Path, required=True)
     p_heat.add_argument("--grid", type=int, default=101)
     p_heat.add_argument("--seed", type=int, default=None)
-    p_heat.add_argument("--trials", type=int, default=None)
 
     p_sweep = sub.add_parser("sweep", help="mean spectrum efficiency along an axis")
     p_sweep.add_argument("--config", type=Path, default=None)

@@ -13,18 +13,6 @@ class ModeOrderError(OamCoopError, ValueError):
     """Requested OAM mode order is outside the modeled range."""
 
 
-class WaistInfeasibleError(OamCoopError, ValueError):
-    """No waist produces the requested ring radius at the requested distance.
-
-    ``deficit`` is how far the target radius falls short of the smallest
-    achievable ring radius at that distance, in meters.
-    """
-
-    def __init__(self, message: str, deficit: float):
-        super().__init__(message)
-        self.deficit = deficit
-
-
 class DegenerateChordError(OamCoopError, ValueError):
     """A chord operation received two coincident endpoints."""
 

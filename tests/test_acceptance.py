@@ -14,12 +14,10 @@ import numpy as np
 
 from oamcoop.beam import (
     BeamSpec,
-    RingTarget,
-    beam_radius,
     feasible_ring_radius,
-    intensity,
+    mode_intensities,
     optimal_ring_radius,
-    waist_solve,
+    ring_waists,
 )
 from oamcoop.cli import main as cli_main
 from oamcoop.errors import (
@@ -54,7 +52,7 @@ def test_c1_beam_ring_solver():
         mode = int(rng.integers(1, 7))
         z = float(rng.uniform(5.0, 400.0))
         r = float(feasible_ring_radius(LAM, mode, z)) * float(rng.uniform(1.0001, 8.0))
-        w0 = waist_solve(RingTarget(r, z), LAM, mode)
+        w0 = float(ring_waists(r, z, LAM, mode))
         back = float(optimal_ring_radius(BeamSpec(LAM, mode, w0), z))
         worst_rt = max(worst_rt, abs(back - r) / r)
 
@@ -63,9 +61,10 @@ def test_c1_beam_ring_solver():
         mode = int(rng.integers(1, 6))
         spec = BeamSpec(LAM, mode, float(rng.uniform(0.3, 2.0)))
         z = float(rng.uniform(0.0, 200.0))
-        w = float(beam_radius(spec, z))
+        w = float(spec.envelope(z))
         grid = np.linspace(0.0, 12.0 * w, 40001)
-        total = float(np.trapezoid(intensity(spec, grid, z) * 2.0 * math.pi * grid, grid))
+        profile = mode_intensities((mode,), grid, w)[:, 0]
+        total = float(np.trapezoid(profile * 2.0 * math.pi * grid, grid))
         worst_norm = max(worst_norm, abs(total - 1.0))
 
     mode, z = 3, 140.0
@@ -304,14 +303,13 @@ def test_c7_mode_separability_parity():
         z = float(rng.uniform(20.0, 150.0))
         ring = abs(cfg.ring_mode)
         rho = float(feasible_ring_radius(LAM, ring, z)) * float(rng.uniform(1.05, 3.0))
-        waist = waist_solve(RingTarget(rho, z), LAM, ring)
-        beam = BeamSpec(LAM, cfg.ring_mode, waist)
+        beam = BeamSpec(LAM, cfg.ring_mode, ring_waists(rho, z, LAM, ring))
         phi = float(rng.uniform(-math.pi, math.pi))
         # A station at height z aims straight down; its pair sits on the ring
         # at azimuths phi and phi + pi.
         ends = rho * np.array([(math.cos(t), math.sin(t)) for t in (phi, phi + math.pi)])
         radial, axial, gap = pair_frame_coords((0.0, 0.0, z), (0.0, 0.0, -1.0), ends)
-        a = mode_amplitudes(cfg, radial, beam_radius(beam, np.abs(axial)))
+        a = mode_amplitudes(cfg, radial, beam.envelope(np.abs(axial)))
         cos2, sin2 = half_angle_weights((m2 - m1) * gap)
         if parity_odd:
             odd_total += 1

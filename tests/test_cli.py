@@ -16,8 +16,8 @@ from oamcoop.cli import (
 )
 from oamcoop.errors import (
     InfeasiblePlacementError,
+    NoRingError,
     ParallelChordsError,
-    WaistInfeasibleError,
 )
 
 SMALL = "user_count = 500\ntrials = 3\nmaster_seed = 5\n"
@@ -287,9 +287,7 @@ def test_validate_output_is_frozen(tmp_path, capsys, config, expect):
 
 @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--trials", "0")])
 def test_rejected_override_is_config_error(tmp_path, small_cfg, capsys, flag, value):
-    rc = main(
-        ["heatmap", "--config", str(small_cfg), "--out", str(tmp_path / "h.csv"), flag, value]
-    )
+    rc = main(_sweep_args(tmp_path, small_cfg) + [flag, value])
     assert rc == EXIT_CONFIG_ERROR
     assert "config error" in capsys.readouterr().err
 
@@ -311,7 +309,7 @@ def test_infeasible_placement_exit_code(tmp_path, small_cfg, monkeypatch):
 
 @pytest.mark.parametrize(
     "error",
-    [ParallelChordsError("internal"), WaistInfeasibleError("internal", deficit=1.0)],
+    [ParallelChordsError("internal"), NoRingError("internal")],
     ids=type,
 )
 def test_internal_error_propagates(tmp_path, small_cfg, monkeypatch, error):

@@ -1,19 +1,11 @@
 """Downlink model: mode amplitudes, pair channels, mode separation, link evaluation."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oamcoop.beam import (
-    BeamSpec,
-    RingTarget,
-    beam_radius,
-    feasible_ring_radius,
-    intensity,
-    waist_solve,
-)
+from oamcoop.beam import BeamSpec, feasible_ring_radius, ring_waists
 from oamcoop.geometry import aim_at_midpoints, bisector_intersection, pair_frame_coords
 from oamcoop.link import (
     C_LIGHT,
@@ -26,6 +18,12 @@ from oamcoop.link import (
     mode_amplitudes,
 )
 from oamcoop.selection import CugSelection
+
+
+def lg_intensity(mode, r, w):
+    """Closed-form ring intensity 2 u^|m| e^(-u) / (pi w^2 |m|!) with u = 2 r^2 / w^2."""
+    u = 2.0 * r * r / (w * w)
+    return 2.0 * u ** abs(mode) * math.exp(-u) / (math.pi * w * w * math.factorial(abs(mode)))
 
 
 def test_wavelength_from_carrier():
@@ -68,12 +66,12 @@ def test_channel_columns_follow_mode_set():
     cfg = LinkConfig(mode_set=(2, 1))
     lam = cfg.wavelength
     beam = BeamSpec(lam, cfg.ring_mode, 1.2)
-    envelope = beam_radius(beam, np.array([50.0, 50.0]))
+    envelope = beam.envelope(np.array([50.0, 50.0]))
     amplitude = mode_amplitudes(cfg, np.array([2.0, 2.0]), envelope)
     assert amplitude.shape == (2, 2)
     gain2 = cfg.transmit_power * cfg.effective_aperture
     for col, mode in enumerate(cfg.mode_set):
-        expect = math.sqrt(gain2 * float(intensity(replace(beam, mode=mode), 2.0, 50.0)))
+        expect = math.sqrt(gain2 * lg_intensity(mode, 2.0, float(envelope[0])))
         assert amplitude[0, col] == pytest.approx(expect, rel=1e-12)
 
 
@@ -85,7 +83,7 @@ def _antipodal_pair(cfg, beam, rho, phi, z):
     """
     ends = rho * np.array([(math.cos(t), math.sin(t)) for t in (phi, phi + math.pi)])
     radial, axial, gap = pair_frame_coords((0.0, 0.0, z), (0.0, 0.0, -1.0), ends)
-    amplitude = mode_amplitudes(cfg, radial, beam_radius(beam, np.abs(axial)))
+    amplitude = mode_amplitudes(cfg, radial, beam.envelope(np.abs(axial)))
     m1, m2 = cfg.mode_set
     return amplitude, gap, half_angle_weights((m2 - m1) * gap)
 
@@ -103,8 +101,7 @@ def test_antipodal_columns_orthogonal_for_odd_mode_gap():
         rho = float(feasible_ring_radius(lam, abs(cfg.ring_mode), z)) * float(
             rng.uniform(1.05, 3.0)
         )
-        waist = waist_solve(RingTarget(rho, z), lam, abs(cfg.ring_mode))
-        beam = BeamSpec(lam, cfg.ring_mode, waist)
+        beam = BeamSpec(lam, cfg.ring_mode, float(ring_waists(rho, z, lam, abs(cfg.ring_mode))))
         phi = float(rng.uniform(-math.pi, math.pi))
         amplitude, gap, _ = _antipodal_pair(cfg, beam, rho, phi, z)
         # The complex columns h_im = A_im exp(i m phi_i), with phi_1 = 0, phi_2 = gap.
@@ -119,8 +116,7 @@ def test_antipodal_columns_parallel_for_even_mode_gap():
     lam = cfg.wavelength
     z = 60.0
     rho = 3.0
-    waist = waist_solve(RingTarget(rho, z), lam, 1)
-    beam = BeamSpec(lam, 1, waist)
+    beam = BeamSpec(lam, 1, float(ring_waists(rho, z, lam, 1)))
     amplitude, _, weights = _antipodal_pair(cfg, beam, rho, 0.4, z)
     condition, separable = channel_condition(amplitude, *weights)
     assert not separable
@@ -159,10 +155,10 @@ def test_aligned_link_matches_closed_form():
     lam = cfg.wavelength
     for k, chord in ((0, sel.chord1), (1, sel.chord2)):
         z = float(placement.distances[k])
-        waist = waist_solve(RingTarget(0.5 * chord, z), lam, 1)
+        envelope = BeamSpec(lam, 1, float(ring_waists(0.5 * chord, z, lam, 1))).envelope(z)
         expect = 0.0
         for mode in cfg.mode_set:
-            i_m = float(intensity(BeamSpec(lam, mode, waist), 0.5 * chord, z))
+            i_m = lg_intensity(mode, 0.5 * chord, envelope)
             snr = 2.0 * cfg.transmit_power * cfg.effective_aperture * i_m / cfg.noise_power
             expect += math.log2(1.0 + snr)
         assert report.cugs[k].se == pytest.approx(expect, rel=1e-9)
@@ -192,12 +188,11 @@ def test_tilted_pair_leaks_mode_amplitude_imbalance():
         assert abs(math.remainder(float(gap) - math.pi, 2 * math.pi)) < 1e-9
         assert abs(abs(axial[0]) - abs(axial[1])) > 0.1
         z = float(tilted.distances[k])
-        waist = waist_solve(RingTarget(0.5 * chord, z), lam, 1)
+        beam = BeamSpec(lam, 1, float(ring_waists(0.5 * chord, z, lam, 1)))
         amp = np.empty((2, 2))  # [user, mode]
         for i in range(2):
             for m, mode in enumerate(cfg.mode_set):
-                beam = BeamSpec(lam, mode, waist)
-                i_m = float(intensity(beam, radial[i], abs(axial[i])))
+                i_m = lg_intensity(mode, radial[i], beam.envelope(abs(axial[i])))
                 amp[i, m] = math.sqrt(gain2 * i_m)
         for m in range(2):
             o = 1 - m

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from oamcoop import sim
-from oamcoop.beam import BeamSpec, RingTarget, intensity, waist_solve
-from oamcoop.errors import ParallelChordsError, WaistInfeasibleError
+from oamcoop.beam import BeamSpec, ring_waists
+from oamcoop.errors import ParallelChordsError
 from oamcoop.geometry import GroundPoint, aim_at_midpoints, bisector_intersection
 from oamcoop.link import (
     FLAG_MODE_INSEPARABLE,
@@ -27,6 +27,7 @@ from oamcoop.link import (
 from oamcoop.selection import CugSelection
 from oamcoop.sim import ScenarioConfig, se_heatmap
 from test_geometry import local_frame
+from test_link import lg_intensity
 
 # Fixed examples keep the suite's verdict reproducible run to run.
 PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -118,17 +119,16 @@ def _reference_link(cfg, placement, selection, users):
     out = []
     pairs = ((selection.cug1, selection.chord1), (selection.cug2, selection.chord2))
     for k, (pair, chord) in enumerate(pairs):
-        try:
-            target = RingTarget(0.5 * chord, float(placement.distances[k]))
-            waist = waist_solve(target, lam, cfg.ring_mode)
-        except WaistInfeasibleError:
+        waist = float(ring_waists(0.5 * chord, float(placement.distances[k]), lam, cfg.ring_mode))
+        if math.isnan(waist):  # the ring is below its diffraction floor
             out.append((0.0, None, (0.0, 0.0), (FLAG_WAIST_INFEASIBLE,)))
             continue
+        beam = BeamSpec(lam, cfg.ring_mode, waist)
         coords = [local_frame(placement.position, placement.axes[k], users[i]) for i in pair]
         h = np.empty((2, 2), dtype=complex)
         for i, (radial, azimuth, axial) in enumerate(coords):
             for m, mode in enumerate(cfg.mode_set):
-                field = math.sqrt(float(intensity(BeamSpec(lam, mode, waist), radial, abs(axial))))
+                field = math.sqrt(lg_intensity(mode, radial, beam.envelope(abs(axial))))
                 h[i, m] = gain * field * complex(math.cos(mode * azimuth), math.sin(mode * azimuth))
         if not np.linalg.cond(h) <= ILL_CONDITION_LIMIT:
             out.append((0.0, waist, (0.0, 0.0), (FLAG_MODE_INSEPARABLE,)))
