@@ -34,10 +34,8 @@ from .link import (
     projection_sinr,
 )
 from .selection import (
-    ConstraintCheck,
     CugSelection,
     SelectionConfig,
-    check_constraints,
     exhaustive_select,
     greedy_select,
 )

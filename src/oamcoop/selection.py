@@ -54,15 +54,6 @@ class SelectionConfig:
 
 
 @dataclass(frozen=True)
-class ConstraintCheck:
-    """Outcome of a constraint screen; on failure names the broken bound."""
-
-    ok: bool
-    reason: str = ""
-    shortfall: float = 0.0
-
-
-@dataclass(frozen=True)
 class CugSelection:
     """Two cooperative pairs in cycle order u1 -> u2 -> u3 -> u4.
 
@@ -145,24 +136,6 @@ def _selection(pos, cycle, psi) -> CugSelection:
     return CugSelection(
         (i1, i2), (i3, i4), dist(i1, i2), dist(i3, i4), dist(i1, i3), dist(i2, i4), float(psi)
     )
-
-
-def check_constraints(indices, users, cfg: SelectionConfig, wavelength: float, mode: int) -> ConstraintCheck:
-    """Screen one candidate cycle (u1, u2, u3, u4) against all bounds.
-
-    Bounds are inclusive; the planning distance stands in for the true
-    transmission distance, which is not known until the station is placed.
-    """
-    i1, i2, i3, i4 = (int(i) for i in indices)
-    if len({i1, i2, i3, i4}) != 4:
-        raise ValueError("candidate indices must be distinct")
-    pos = np.asarray(users, dtype=float)
-    excess = bound_excess(*_cycle_lengths(pos[[i1, i2, i3, i4]]), cfg, wavelength, mode)
-    broken = np.flatnonzero(excess > 0.0)
-    if broken.size:
-        k = int(broken[0])
-        return ConstraintCheck(False, BOUND_REASONS[k], float(excess[k]))
-    return ConstraintCheck(True)
 
 
 def aligned_floors(quads, height: float, wavelength: float, mode: int):

@@ -83,7 +83,6 @@ class UserDrop:
     """One realization of user positions inside the hotspot square."""
 
     positions: np.ndarray  # shape (U, 2)
-    drop_seed: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +109,7 @@ def drop_users(cfg: ScenarioConfig, trial_index: int) -> UserDrop:
     seed = stream_seed(cfg.master_seed, trial_index, _STREAM_DROP)
     rng = np.random.default_rng(seed)
     positions = rng.uniform(0.0, cfg.hotspot_side, size=(cfg.user_count, 2))
-    return UserDrop(positions=positions, drop_seed=seed)
+    return UserDrop(positions=positions)
 
 
 def select_users(cfg: ScenarioConfig, drop: UserDrop) -> CugSelection | None:
@@ -257,9 +256,9 @@ def se_heatmap(cfg: ScenarioConfig, grid_size: int) -> HeatmapResult:
     """Evaluate one drop's selection from every point of a position grid.
 
     Uses trial 0's drop and selection; raises InfeasibleScenarioError when
-    the drop yields no selection.  The aligned-scheme position, reported as
-    the closed-form optimum marker, is scored as one more station after the
-    grid.
+    the drop yields no selection.  The acoc station of scheme_station,
+    reported as the closed-form optimum marker, is scored as one more
+    station after the grid.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
@@ -272,7 +271,7 @@ def se_heatmap(cfg: ScenarioConfig, grid_size: int) -> HeatmapResult:
     pos = drop.positions
     ends = pos[[selection.cug1, selection.cug2]]  # [pair, user, xy]
     m1, m2 = 0.5 * (ends[:, 0] + ends[:, 1])
-    station = place_acoc(pos, selection, cfg.fbs_height, cfg.link.wavelength, cfg.link.ring_mode)
+    station = scheme_station(cfg, pos, selection, 0, SCHEME_ACOC)
     xs = np.linspace(0.0, cfg.hotspot_side, grid_size)
     ys = np.linspace(0.0, cfg.hotspot_side, grid_size)
     # Row-major, as se is laid out: station j * G + i is (xs[i], ys[j]); the

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oamcoop
 from oamcoop import cli, sim
 from oamcoop.cli import (
     EXIT_CHECK_FAILED,
@@ -283,6 +288,18 @@ def test_validate_output_is_frozen(tmp_path, capsys, config, expect):
     cfg.write_text(config)
     assert main(["validate", "--config", str(cfg)]) == EXIT_OK
     assert capsys.readouterr().out == "\n".join(expect) + "\n"
+
+
+def test_module_forms_run_validate():
+    # `python -m oamcoop.cli` and `python -m oamcoop` are one entry point.
+    src = str(Path(oamcoop.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    runs = [
+        subprocess.run([sys.executable, "-m", module, "validate"], capture_output=True, text=True, env=env)
+        for module in ("oamcoop.cli", "oamcoop")
+    ]
+    assert [run.returncode for run in runs] == [EXIT_OK, EXIT_OK]
+    assert runs[0].stdout == runs[1].stdout == "\n".join(VALIDATE_LINES) + "\n"
 
 
 @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--trials", "0")])

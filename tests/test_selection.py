@@ -1,4 +1,4 @@
-"""Pair selection: constraint screen, greedy walk, exhaustive oracle."""
+"""Pair selection: constraint bounds, greedy walk, exhaustive oracle."""
 
 import math
 from dataclasses import replace
@@ -8,15 +8,16 @@ import pytest
 
 from oamcoop.errors import InsufficientUsersError, OracleSizeError
 from oamcoop.selection import (
+    BOUND_REASONS,
     MAX_ORACLE_USERS,
     SelectionConfig,
-    check_constraints,
+    bound_excess,
     chord_floor,
     exhaustive_select,
     greedy_select,
     planning_distance,
 )
-from oamcoop.sim import place_acoc
+from oamcoop.sim import ScenarioConfig, drop_users, place_acoc
 
 LAM = 0.2998
 MODE = 1
@@ -39,44 +40,47 @@ def _square_users(side, offset=(0.0, 0.0)):
     )
 
 
+def _cycle_lengths(users, cycle):
+    """Chords (u1,u2), (u3,u4) and diagonals (u1,u3), (u2,u4) of a cycle (u1, u2, u3, u4)."""
+    u1, u2, u3, u4 = (users[i] for i in cycle)
+    return math.dist(u1, u2), math.dist(u3, u4), math.dist(u1, u3), math.dist(u2, u4)
+
+
 class TestConstraintScreen:
+    # bound_excess over a cycle's lengths: it passes when no column is
+    # positive, and the first positive column names the broken bound.
     def test_comfortable_quad_passes(self):
         users = _square_users(6.0)
-        assert check_constraints((0, 1, 2, 3), users, CFG, LAM, MODE).ok
+        assert np.all(bound_excess(*_cycle_lengths(users, (0, 1, 2, 3)), CFG, LAM, MODE) <= 0.0)
 
     def test_chord_at_limit_is_inclusive(self):
         users = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 3.0], [10.0, 3.0]])
-        assert check_constraints((0, 1, 2, 3), users, CFG, LAM, MODE).ok
+        assert np.all(bound_excess(*_cycle_lengths(users, (0, 1, 2, 3)), CFG, LAM, MODE) <= 0.0)
 
     def test_long_chord_rejected(self):
         users = np.array([[0.0, 0.0], [10.5, 0.0], [0.0, 3.0], [10.0, 3.0]])
-        res = check_constraints((0, 1, 2, 3), users, CFG, LAM, MODE)
-        assert not res.ok
-        assert res.reason == "cug1 chord exceeds max pair distance"
-        assert res.shortfall == pytest.approx(0.5, rel=1e-9)
+        excess = bound_excess(*_cycle_lengths(users, (0, 1, 2, 3)), CFG, LAM, MODE)
+        k = np.flatnonzero(excess > 0.0)[0]
+        assert BOUND_REASONS[k] == "cug1 chord exceeds max pair distance"
+        assert excess[k] == pytest.approx(0.5, rel=1e-9)
 
     def test_short_chord_rejected_with_deficit(self):
         users = _square_users(4.0)
-        res = check_constraints((0, 1, 2, 3), users, CFG, LAM, MODE)
-        assert not res.ok
-        assert res.reason == "cug1 chord below feasible ring diameter"
+        excess = bound_excess(*_cycle_lengths(users, (0, 1, 2, 3)), CFG, LAM, MODE)
+        k = np.flatnonzero(excess > 0.0)[0]
+        assert BOUND_REASONS[k] == "cug1 chord below feasible ring diameter"
         floor = chord_floor(planning_distance(50.0, 4.0), LAM, MODE)
-        assert res.shortfall == pytest.approx(floor - 4.0, rel=1e-9)
+        assert excess[k] == pytest.approx(floor - 4.0, rel=1e-9)
 
     def test_wide_diagonal_rejected_first(self):
         cramped = replace(CFG, service_radius=4.0)
         users = _square_users(6.0)
         # cycle order (0, 1, 3, 2) walks the square perimeter, so the checked
         # cross pairs are the real diagonals
-        res = check_constraints((0, 1, 3, 2), users, cramped, LAM, MODE)
-        assert not res.ok
-        assert res.reason == "diagonal exceeds service diameter"
-        assert res.shortfall == pytest.approx(6.0 * math.sqrt(2.0) - 8.0, rel=1e-9)
-
-    def test_duplicate_indices_rejected(self):
-        users = _square_users(6.0)
-        with pytest.raises(ValueError):
-            check_constraints((0, 1, 1, 3), users, CFG, LAM, MODE)
+        excess = bound_excess(*_cycle_lengths(users, (0, 1, 3, 2)), cramped, LAM, MODE)
+        k = np.flatnonzero(excess > 0.0)[0]
+        assert BOUND_REASONS[k] == "diagonal exceeds service diameter"
+        assert excess[k] == pytest.approx(6.0 * math.sqrt(2.0) - 8.0, rel=1e-9)
 
 
 def test_greedy_needs_four_users():
@@ -123,7 +127,7 @@ def test_greedy_rejects_quad_failing_true_distance_floor():
     # passes the planning screen, but the near-parallel bisectors push the
     # aligned station ~99 m out where the ring floor exceeds both chords
     users = np.array([[0.0, 0.0], [4.45, 0.3], [0.2, 40.0], [4.75, 40.2]])
-    assert check_constraints((0, 1, 2, 3), users, CFG, LAM, MODE).ok
+    assert np.all(bound_excess(*_cycle_lengths(users, (0, 1, 2, 3)), CFG, LAM, MODE) <= 0.0)
     assert greedy_select(users, CFG, LAM, MODE, center=(2.3, 20.0)) is None
 
 
@@ -164,7 +168,7 @@ def test_selection_reports_consistent_distances():
         assert sel.chord2 == pytest.approx(math.dist(users[i3], users[i4]), rel=1e-12)
         assert sel.diag1 == pytest.approx(math.dist(users[i1], users[i3]), rel=1e-12)
         assert sel.diag2 == pytest.approx(math.dist(users[i2], users[i4]), rel=1e-12)
-        assert check_constraints(sel.indices(), users, CFG, LAM, MODE).ok
+        assert np.all(bound_excess(*_cycle_lengths(users, sel.indices()), CFG, LAM, MODE) <= 0.0)
     assert found >= 10
 
 
@@ -191,3 +195,28 @@ def test_oracle_pick_is_placeable(seed):
     ex = exhaustive_select(users, CFG, LAM, MODE)
     assert ex is not None
     place_acoc(users, ex, CFG.min_height, LAM, MODE)
+
+
+# Exact maps of the plane about the origin; the hotspot centre maps alike.
+PLANE_MAPS = {
+    "rotate-90": lambda x, y: (-y, x),
+    "rotate-180": lambda x, y: (-x, -y),
+    "mirror-x": lambda x, y: (-x, y),
+    "swap-xy": lambda x, y: (y, x),
+}
+
+
+@pytest.mark.parametrize("plane_map", PLANE_MAPS.values(), ids=PLANE_MAPS.keys())
+def test_greedy_pick_is_invariant_under_exact_plane_maps(plane_map):
+    # Negation and swapping coordinates round nothing, so the mapped drop
+    # must give the same pairs and the same deviation to the bit.
+    cfg = ScenarioConfig(user_count=1000, master_seed=1)
+    wavelength, mode = cfg.link.wavelength, cfg.link.ring_mode
+    center = np.array(plane_map(*cfg.hotspot_center))
+    for trial in range(5):
+        pos = drop_users(cfg, trial).positions
+        want = greedy_select(pos, cfg.selection, wavelength, mode, cfg.hotspot_center)
+        got = greedy_select(np.column_stack(plane_map(*pos.T)), cfg.selection, wavelength, mode, center)
+        assert want is not None
+        assert (got.cug1, got.cug2) == (want.cug1, want.cug2)
+        assert got.angle_square_diff == want.angle_square_diff

@@ -43,7 +43,7 @@ from oamcoop.selection import (
     _nearest_lists,
     _score_rounds,
     anchor_walk,
-    check_constraints,
+    bound_excess,
     chord_floor,
     complete_rounds,
     greedy_select,
@@ -100,6 +100,13 @@ def first_chords(pos, rounds):
     return np.hypot(d[:, 0], d[:, 1])
 
 
+def cycle_lengths(pos, cycle):
+    """Chords (u1,u2), (u3,u4) and diagonals (u1,u3), (u2,u4) of one cycle, from np.hypot as the screen computes them."""
+    q = pos[list(cycle)]
+    d = q[[1, 3, 2, 3]] - q[[0, 2, 0, 1]]
+    return np.hypot(d[:, 0], d[:, 1])
+
+
 def loop_select(pos, cfg, center):
     """Round-by-round scoring, one quad at a time, with a strict running minimum."""
     from_center = (pos[:, 0] - center[0]) ** 2 + (pos[:, 1] - center[1]) ** 2
@@ -112,7 +119,7 @@ def loop_select(pos, cfg, center):
             if defect:
                 continue
             psi = angle_square_difference(angles)
-            if psi < best_psi and check_constraints(cycle, pos, cfg, LAM, MODE).ok:
+            if psi < best_psi and np.all(bound_excess(*cycle_lengths(pos, cycle), cfg, LAM, MODE) <= 0.0):
                 quad = pos[list(cycle)]
                 try:
                     fx, fy = bisector_intersection(*quad)
