@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .beam import BeamSpec, optimal_ring_radius, ring_waists
+from .beam import BeamSpec, feasible_ring_radius, optimal_ring_radius, ring_waists
 from .config import config_echo, load_config
 from .errors import ConfigError, InfeasiblePlacementError, InfeasibleScenarioError, OamCoopError
-from .geometry import aim_at_midpoints, bisector_intersection, pair_frame_coords
+from .geometry import aimed_pair_coords, bisector_intersection, transmission_distance
 from .link import channel_condition, half_angle_weights, mode_amplitudes
 from .sim import SCHEMES, ScenarioConfig, run_experiment, se_heatmap, summarize
 
@@ -151,33 +151,47 @@ def _validate_checks(cfg: ScenarioConfig):
         worst = max(worst, abs(d1 - d2) / scale, abs(d3 - d4) / scale)
     yield "bisector-equidistance", worst <= 1e-9, f"max scaled error {worst:.3e}"
 
+    # A beam aimed at a chord midpoint must see both users at the kernel's
+    # radius and axial distances, with opposite transverse offsets, from a
+    # station anywhere above the plane.
+    chord = rng.uniform(2.0, 12.0, 100)
+    ang = rng.uniform(0.0, 2.0 * math.pi, 100)
+    mid = rng.uniform(-50.0, 50.0, size=(100, 2))
+    half = 0.5 * chord[:, None] * np.column_stack((np.cos(ang), np.sin(ang)))
+    stations = np.column_stack((rng.uniform(-100.0, 100.0, size=(100, 2)), rng.uniform(20.0, 200.0, 100)))
+    d = transmission_distance(stations, mid)
+    radial, axial = aimed_pair_coords(stations, d, mid, half)
+    axis = ((np.column_stack((mid, np.zeros(100))) - stations) / d[:, None])[:, None, :]
+    ends = np.stack((mid + half, mid - half), axis=1)  # [draw, user, xy]
+    rel = np.concatenate((ends, np.zeros((100, 2, 1))), axis=2) - stations[:, None, :]
+    along = np.sum(rel * axis, axis=2)
+    offsets = rel - along[..., None] * axis
+    worst = max(
+        np.max(np.abs(axial - along) / d[:, None]),
+        np.max(np.abs(np.linalg.norm(offsets, axis=2) - radial[:, None]) / radial[:, None]),
+        np.max(np.linalg.norm(offsets[:, 0] + offsets[:, 1], axis=1) / radial),
+    )
+    yield "aimed-pair-frame", worst <= 1e-9, f"max relative deviation {worst:.3e}"
+
     modes = cfg.link.mode_set
     parity_even = (modes[0] - modes[1]) % 2 == 0
     probe_cfg = replace(cfg.link, mode_set=modes if not parity_even else (1, 2))
     m1, m2 = probe_cfg.mode_set
-    worst = 0.0
-    for _ in range(100):
-        chord = float(rng.uniform(2.0, 12.0))
-        height = float(rng.uniform(20.0, 200.0))
-        ang = float(rng.uniform(0.0, 2.0 * math.pi))
-        mx, my = rng.uniform(-50.0, 50.0, size=2)
-        ux = (mx + 0.5 * chord * math.cos(ang), my + 0.5 * chord * math.sin(ang))
-        vx = (mx - 0.5 * chord * math.cos(ang), my - 0.5 * chord * math.sin(ang))
-        placement = aim_at_midpoints((mx, my, height), (mx, my), (mx, my + 1.0))
-        radial, axial, gap = pair_frame_coords(placement.position, placement.axes[0], (ux, vx))
-        ring_mode = cfg.link.ring_mode
-        rho = max(0.5 * chord, 1.001 * math.sqrt(height * lam * abs(ring_mode) / math.pi))
-        beam = BeamSpec(lam, ring_mode, ring_waists(rho, height, lam, ring_mode))
-        a = mode_amplitudes(probe_cfg, radial, beam.envelope(np.abs(axial)))
-        cos2, sin2 = half_angle_weights((m2 - m1) * gap)
-        # |h_0^H h_1|^2 / (||h_0||^2 ||h_1||^2) of the mode columns h_im = A_im exp(i m phi_i).
-        user0, user1 = a[0, 0] * a[0, 1], a[1, 0] * a[1, 1]
-        cross2 = (user0 + user1) ** 2 * cos2 + (user0 - user1) ** 2 * sin2
-        norms2 = (a[0, 0] ** 2 + a[1, 0] ** 2) * (a[0, 1] ** 2 + a[1, 1] ** 2)
-        worst = max(worst, math.sqrt(cross2 / norms2))
-        _, separable = channel_condition(a, cos2, sin2)
-        if not separable:
-            worst = max(worst, 1.0)
+    cos2, sin2 = half_angle_weights((m2 - m1) * math.pi)
+    # The same pairs, each aligned: seen from a station above its midpoint.
+    stations = np.column_stack((mid, rng.uniform(20.0, 200.0, 100)))
+    d = transmission_distance(stations, mid)
+    radial, axial = aimed_pair_coords(stations, d, mid, half)
+    ring_mode = cfg.link.ring_mode
+    rho = np.maximum(0.5 * chord, 1.001 * feasible_ring_radius(lam, ring_mode, d))
+    beam = BeamSpec(lam, ring_mode, ring_waists(rho, d, lam, ring_mode)[:, None])
+    a = mode_amplitudes(probe_cfg, radial[:, None], beam.envelope(np.abs(axial)))  # [draw, user, mode]
+    # |h_0^H h_1|^2 / (||h_0||^2 ||h_1||^2) of the mode columns h_im = A_im exp(i m phi_i).
+    user0, user1 = a[:, 0, 0] * a[:, 0, 1], a[:, 1, 0] * a[:, 1, 1]
+    cross2 = (user0 + user1) ** 2 * cos2 + (user0 - user1) ** 2 * sin2
+    norms2 = (a[:, 0, 0] ** 2 + a[:, 1, 0] ** 2) * (a[:, 0, 1] ** 2 + a[:, 1, 1] ** 2)
+    _, separable = channel_condition(a, cos2, sin2)
+    worst = float(np.max(np.where(separable, np.sqrt(cross2 / norms2), 1.0)))
     yield (
         "channel-antipodal-orthogonality",
         worst <= 1e-9,

@@ -27,15 +27,14 @@ class GroundPoint(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Placement:
-    """Station position plus one aim axis and aim distance per user pair.
+    """Station position plus one aim distance per user pair.
 
-    ``axes[i]`` is the unit vector from the position toward pair i's chord
-    midpoint; ``distances[i]`` is the corresponding transmission distance.
-    A Placement of N stations puts a leading axis of length N on each field.
+    ``distances[i]`` is the transmission distance from the position to pair
+    i's chord midpoint; the link reads only ``position``.  A Placement of N
+    stations puts a leading axis of length N on each field.
     """
 
     position: np.ndarray  # shape (3,) or (N, 3)
-    axes: np.ndarray  # shape (2, 3) or (N, 2, 3)
     distances: np.ndarray  # shape (2,) or (N, 2)
 
 
@@ -96,42 +95,27 @@ def transmission_distance(position, midpoint):
 def aim_at_midpoints(position, m1, m2) -> Placement:
     """Placement of one station (3,) or N (N, 3) aimed at the two midpoints."""
     pos = np.asarray(position, dtype=float)
-    targets = np.array(((m1[0], m1[1], 0.0), (m2[0], m2[1], 0.0)), dtype=float)
-    delta = targets - pos[..., None, :]
-    dists = np.sqrt(np.sum(delta * delta, axis=-1))
-    if np.any(dists == 0.0):
-        raise ValueError("aim point coincides with the station position")
-    return Placement(position=pos, axes=delta / dists[..., None], distances=dists)
+    return Placement(position=pos, distances=transmission_distance(pos[..., None, :], (m1, m2)))
 
 
-def pair_frame_coords(position, axis, ends):
-    """Beam-frame radii and axial coordinates of pair users, and their azimuth gap.
+def aimed_pair_coords(position, distance, midpoint, half_chord):
+    """Beam-frame radius and axial distances of a pair whose beam is aimed at its chord midpoint.
 
-    ``position`` and ``axis`` (..., 3) are one beam each and ``ends``
-    (..., 2, 2 or 3) its pair's two users.  Returns ``(radial, axial,
-    gap)``: axial (..., 2) is the signed projection of (user - position) on
-    the unit axis and radial (..., 2) the length of the rest, the user's
-    transverse offset.  gap (...) is user 2's azimuth minus user 1's, a
-    right-handed turn about the axis counting positive, wrapped to
-    [-pi, pi]: one arctan2 of the two transverse offsets' cross product
-    along the axis and their dot product.  A beam aimed at its chord
-    midpoint has neither user on its axis, where the gap is undefined.
+    ``position`` (..., 3) is the station p, ``distance`` (...) its aim
+    distance d to the ground midpoint m = (u1 + u2) / 2 (``midpoint``,
+    (..., 2)), and ``half_chord`` (..., 2) is c = (u1 - u2) / 2.  On the
+    unit axis a = (m - p) / d, with s = (m - p) . c / d, the users sit at
+    axial distances d + s and d - s; their transverse offsets are c - s a
+    and its negative, so both lie at radius sqrt(|c|^2 - s^2) with azimuths
+    pi apart.  Returns ``(radial, axial)``: radial (...) is the pair's one
+    radius and axial (..., 2) the two users' axial distances.
     """
-    axis = np.asarray(axis, dtype=float)
-    p = np.asarray(position, dtype=float)[..., None, :]
-    q = np.asarray(ends, dtype=float)
-    ax, ay, az = axis[..., 0], axis[..., 1], axis[..., 2]
-    # The axis broadcast over the pair's two users.
-    ux, uy, uz = ax[..., None], ay[..., None], az[..., None]
-    rx, ry = q[..., 0] - p[..., 0], q[..., 1] - p[..., 1]
-    rz = (q[..., 2] if q.shape[-1] == 3 else 0.0) - p[..., 2]
-    axial = rx * ux + ry * uy + rz * uz
-    tx, ty, tz = rx - axial * ux, ry - axial * uy, rz - axial * uz
-    radial = np.sqrt(tx * tx + ty * ty + tz * tz)
-    x1, x2, y1, y2, z1, z2 = tx[..., 0], tx[..., 1], ty[..., 0], ty[..., 1], tz[..., 0], tz[..., 1]
-    cross = ax * (y1 * z2 - z1 * y2) + ay * (z1 * x2 - x1 * z2) + az * (x1 * y2 - y1 * x2)
-    gap = np.arctan2(cross, x1 * x2 + y1 * y2 + z1 * z2)
-    return radial, axial, gap
+    p, m, c = (np.asarray(v, dtype=float) for v in (position, midpoint, half_chord))
+    d = np.asarray(distance, dtype=float)
+    cx, cy = c[..., 0], c[..., 1]
+    s = ((m[..., 0] - p[..., 0]) * cx + (m[..., 1] - p[..., 1]) * cy) / d
+    radial = np.sqrt(cx * cx + cy * cy - s * s)
+    return radial, np.stack((d + s, d - s), axis=-1)
 
 
 # Reasons a cycle of four points is not a simple quadrilateral, by defect code.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beam import MAX_MODE_ORDER, BeamSpec, mode_intensities, ring_waists
-from .geometry import Placement, pair_frame_coords
+from .geometry import Placement, aimed_pair_coords, transmission_distance
 
 C_LIGHT = 299_792_458.0
 
@@ -216,34 +216,35 @@ class LinkBatch:
 def evaluate_placements(cfg: LinkConfig, placement: Placement, selection, users) -> LinkBatch:
     """Link outcomes of one placement or N (see Placement) serving a selection.
 
-    Per pair: re-tune the waist so the ring-mode ring radius equals half the
-    chord at the aim distance, take the users' mode amplitudes and the
-    pair's relative phase from their beam-frame coordinates, and recover
-    each mode by projection onto its helical phase (projection_sinr).  An
-    aligned pair gets the zero-forcing rate; off the station's bisector a
-    pair loses rate to crosstalk between its modes.  An unreachable ring or
-    an inseparable channel gives the pair zero SINR.
+    Each beam is aimed at its pair's chord midpoint, taken from the
+    selection (of the placement only the position is read), so it sees its
+    users antipodal: every pair's relative phase is (m2 - m1) pi.  Per pair,
+    the waist is re-tuned so the ring-mode ring radius equals half the chord
+    at the aim distance, the users' mode amplitudes are taken at their
+    beam-frame radius and axial distances (aimed_pair_coords), and each mode
+    is recovered by projection onto its helical phase (projection_sinr).  An
+    aligned pair gets the zero-forcing rate; off the station's bisector its
+    users sit at unequal axial distances and lose rate to mode crosstalk.
+    An unreachable ring or an inseparable channel gives the pair zero SINR.
     """
-    pos = np.asarray(users, dtype=float)
-    stations = np.asarray(placement.position, dtype=float).reshape(-1, 3)
-    axes = np.asarray(placement.axes, dtype=float).reshape(-1, 2, 3)
-    distances = np.asarray(placement.distances, dtype=float).reshape(-1, 2)
+    stations = np.asarray(placement.position, dtype=float).reshape(-1, 1, 3)
+    ends = np.asarray(users, dtype=float)[[selection.cug1, selection.cug2]]  # [pair, user, xy]
+    midpoints = 0.5 * (ends[:, 0] + ends[:, 1])
+    distances = transmission_distance(stations, midpoints)  # [placement, pair]
     chords = np.array((selection.chord1, selection.chord2))
     waist = ring_waists(0.5 * chords, distances, cfg.wavelength, cfg.ring_mode)
-    # Only the (placement, pair) entries whose ring is in reach go on: flat
-    # entry e is placement e // 2, pair e % 2.
+    radial, axial = aimed_pair_coords(stations, distances, midpoints, 0.5 * (ends[:, 0] - ends[:, 1]))
+    # radial is [placement, pair] and axial [placement, pair, user].  Only the
+    # (placement, pair) entries whose ring is in reach go on: flat entry e is
+    # placement e // 2, pair e % 2.
     entry = np.flatnonzero(~np.isnan(waist))
-    n, k = np.divmod(entry, 2)
-    ends = pos[[selection.cug1, selection.cug2]]  # [pair, user, xy]
-    radial, axial, gap = pair_frame_coords(  # [entry, user], [entry]
-        stations.take(n, axis=0), axes.reshape(-1, 3).take(entry, axis=0), ends.take(k, axis=0)
-    )
     beam = BeamSpec(cfg.wavelength, cfg.ring_mode, waist.reshape(-1).take(entry)[:, None])
     # w(z) is even in z, so a user behind the waist plane sees the
     # mirrored profile.
-    amplitude = mode_amplitudes(cfg, radial, beam.envelope(np.abs(axial)))
+    envelope = beam.envelope(np.abs(axial.reshape(-1, 2).take(entry, axis=0)))
+    amplitude = mode_amplitudes(cfg, radial.reshape(-1).take(entry)[:, None], envelope)
     m1, m2 = cfg.mode_set
-    cos2, sin2 = half_angle_weights((m2 - m1) * gap)
+    cos2, sin2 = half_angle_weights((m2 - m1) * math.pi)
     condition, separable = channel_condition(amplitude, cos2, sin2)
     sinr = projection_sinr(amplitude, cos2, sin2, cfg.noise_power)
     out_sinr = np.zeros(waist.shape + (2,))

@@ -234,8 +234,8 @@ def summarize(results) -> dict[str, SchemeSummary]:
 
 
 # Grid stations scored per evaluate_placements call: it bounds the link
-# temporaries.  One se_heatmap of a 101x101 grid peaks at 1.5 MB of Python
-# allocations (tracemalloc) in blocks of 2048 and at 4.7 MB in one block.
+# temporaries.  One se_heatmap of a 101x101 grid peaks at 1.4 MiB of Python
+# allocations (tracemalloc) in blocks of 2048 and at 3.9 MiB in one block.
 PLACEMENT_BATCH = 2048
 
 

@@ -25,7 +25,7 @@ from oamcoop.errors import (
     InfeasibleScenarioError,
     ParallelChordsError,
 )
-from oamcoop.geometry import bisector_intersection, pair_frame_coords, transmission_distance
+from oamcoop.geometry import aimed_pair_coords, bisector_intersection, transmission_distance
 from oamcoop.link import LinkConfig, channel_condition, half_angle_weights, mode_amplitudes
 from oamcoop.selection import (
     SelectionConfig,
@@ -307,12 +307,12 @@ def test_c7_mode_separability_parity():
         rho = float(feasible_ring_radius(LAM, ring, z)) * float(rng.uniform(1.05, 3.0))
         beam = BeamSpec(LAM, cfg.ring_mode, ring_waists(rho, z, LAM, ring))
         phi = float(rng.uniform(-math.pi, math.pi))
-        # A station at height z aims straight down; its pair sits on the ring
-        # at azimuths phi and phi + pi.
+        # A station at height z aims straight down at its pair's midpoint; the
+        # pair sits on the ring at azimuths phi and phi + pi.
         ends = rho * np.array([(math.cos(t), math.sin(t)) for t in (phi, phi + math.pi)])
-        radial, axial, gap = pair_frame_coords((0.0, 0.0, z), (0.0, 0.0, -1.0), ends)
-        a = mode_amplitudes(cfg, radial, beam.envelope(np.abs(axial)))
-        cos2, sin2 = half_angle_weights((m2 - m1) * gap)
+        radial, axial = aimed_pair_coords((0.0, 0.0, z), z, (0.0, 0.0), 0.5 * (ends[0] - ends[1]))
+        a = mode_amplitudes(cfg, np.full(2, radial), beam.envelope(np.abs(axial)))
+        cos2, sin2 = half_angle_weights((m2 - m1) * math.pi)
         if parity_odd:
             odd_total += 1
             # |h_0^H h_1| / (||h_0|| ||h_1||) of the mode columns h_im = A_im exp(i m phi_i).

@@ -242,17 +242,20 @@ def test_validate_reports_all_pass(capsys):
 
 
 def test_validate_fails_on_a_shifted_pair_gap(monkeypatch, capsys):
-    # The pair's azimuth gap is the link's only source of relative phase, so
-    # a fault in it must fail the check that runs the link's own kernels.
-    coords = cli.pair_frame_coords
+    # The kernel's split of the pair's axial distances is the link's only
+    # source of mode crosstalk, so a 1e-3 m fault in it must fail the checks
+    # that run the link's own kernels.
+    coords = cli.aimed_pair_coords
 
     def shifted(*args):
-        radial, axial, gap = coords(*args)
-        return radial, axial, gap + 1e-3
+        radial, axial = coords(*args)
+        return radial, axial + (1e-3, -1e-3)
 
-    monkeypatch.setattr(cli, "pair_frame_coords", shifted)
+    monkeypatch.setattr(cli, "aimed_pair_coords", shifted)
     assert main(["validate"]) == EXIT_CHECK_FAILED
-    assert "FAIL channel-antipodal-orthogonality" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL aimed-pair-frame" in out
+    assert "FAIL channel-antipodal-orthogonality" in out
 
 
 def test_validate_warns_on_even_mode_gap(tmp_path, capsys):
@@ -268,7 +271,8 @@ VALIDATE_LINES = [
     "PASS beam-ring-roundtrip: max relative error 5.301e-16",
     "PASS beam-boundary-double-root: scaled discriminant 2.167e-16, root error 7.361e-09",
     "PASS bisector-equidistance: max scaled error 5.324e-16",
-    "PASS channel-antipodal-orthogonality: max normalized cross-talk 3.324e-15",
+    "PASS aimed-pair-frame: max relative deviation 5.163e-14",
+    "PASS channel-antipodal-orthogonality: max normalized cross-talk 6.123e-17",
 ]
 PARITY_LINE = (
     "PASS mode-set-parity: warning: modes (1, 3) differ by an even order; "

@@ -1,4 +1,4 @@
-"""Station geometry: bisector intersection, pair-frame coordinates, quad angles."""
+"""Station geometry: bisector intersection, aimed pair coordinates, quad angles."""
 
 import math
 
@@ -10,9 +10,9 @@ from oamcoop.errors import DegenerateChordError, ParallelChordsError
 from oamcoop.geometry import (
     NOT_SIMPLE,
     aim_at_midpoints,
+    aimed_pair_coords,
     angle_square_difference,
     bisector_intersection,
-    pair_frame_coords,
     quad_angles,
     transmission_distance,
 )
@@ -144,15 +144,15 @@ def test_transmission_distance_circumradius_form():
         assert transmission_distance(pos, m) == pytest.approx(expect, rel=1e-12)
 
 
-def test_aim_at_midpoints_axes():
+def test_aim_at_midpoints_distances():
     pos = np.array([10.0, 20.0, 50.0])
     pl = aim_at_midpoints(pos, (14.0, 20.0), (10.0, 26.0))
-    assert pl.axes.shape == (2, 3)
-    np.testing.assert_allclose(np.linalg.norm(pl.axes, axis=1), 1.0, rtol=1e-12)
+    assert pl.distances.shape == (2,)
     assert pl.distances[0] == pytest.approx(math.hypot(4.0, 50.0), rel=1e-12)
     assert pl.distances[1] == pytest.approx(math.hypot(6.0, 50.0), rel=1e-12)
-    # both beams point downward
-    assert pl.axes[0][2] < 0 and pl.axes[1][2] < 0
+    batch = aim_at_midpoints(np.array([pos, pos + 1.0]), (14.0, 20.0), (10.0, 26.0))
+    assert batch.distances.shape == (2, 2)
+    assert np.array_equal(batch.distances[0], pl.distances)
 
 
 def test_placement_is_frozen():
@@ -175,22 +175,22 @@ def test_aligned_pair_sees_opposite_azimuths():
         t = float(rng.uniform(-30.0, 30.0))
         h = float(rng.uniform(20.0, 120.0))
         pos = np.array([m[0] + t * perp[0], m[1] + t * perp[1], h])
-        axis = np.array([m[0], m[1], 0.0]) - pos
-        axis /= np.linalg.norm(axis)
-        radial, axial, gap = pair_frame_coords(pos, axis, np.array([u1, u2]))
+        aim = np.array((m[0], m[1], 0.0)) - pos
+        radial, axial = aimed_pair_coords(pos, np.linalg.norm(aim), m, 0.5 * (u1 - u2))
         half = math.dist(u1, u2) / 2.0
-        assert radial[0] == pytest.approx(half, rel=1e-9)
-        assert radial[1] == pytest.approx(half, rel=1e-9)
-        assert abs(gap) == pytest.approx(math.pi, abs=1e-9)
+        assert radial == pytest.approx(half, rel=1e-9)
         assert axial[0] == pytest.approx(axial[1], rel=1e-9)
+        axis = aim / np.linalg.norm(aim)
+        (_, phi1, _), (_, phi2, _) = (local_frame(pos, axis, u) for u in (u1, u2))
+        assert math.remainder(phi2 - phi1 - math.pi, 2.0 * math.pi) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_beam_frame_on_axis_point():
+    # A pair collapsed onto its aim point sits on the axis at the aim distance.
     pos = np.array([0.0, 0.0, 50.0])
-    axis = np.array([0.0, 0.0, -1.0])
-    radial, axial, _ = pair_frame_coords(pos, axis, np.array([[0.0, 0.0, 20.0], [3.0, 4.0, 20.0]]))
-    assert radial[0] == 0.0 and radial[1] == pytest.approx(5.0)
-    assert axial == pytest.approx([30.0, 30.0])
+    radial, axial = aimed_pair_coords(pos, 50.0, (0.0, 0.0), (0.0, 0.0))
+    assert radial == 0.0
+    assert axial == pytest.approx([50.0, 50.0])
 
 
 def local_frame(position, axis, point):
@@ -208,43 +208,26 @@ def local_frame(position, axis, point):
     return float(np.linalg.norm(t)), math.atan2(np.dot(t, e2), np.dot(t, e1)), axial
 
 
-@pytest.mark.parametrize("dims", [2, 3])
-def test_pair_frame_coords_match_a_local_frame(dims):
-    rng = np.random.default_rng(37 + dims)
+def test_aimed_pair_coords_match_a_local_frame():
+    # Stations anywhere above the plane, aimed at the midpoint of two ground
+    # users: a frame built by cross products must find both users at the
+    # kernel's radius and axial distances, with azimuths pi apart.
+    rng = np.random.default_rng(39)
     n = 200
-    axes = rng.normal(size=(n, 3))
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    positions = rng.uniform(-20.0, 20.0, size=(n, 3))
-    ends = rng.uniform(-20.0, 20.0, size=(n, 2, dims))
-    radial, axial, gap = pair_frame_coords(positions, axes, ends)
-    assert radial.shape == axial.shape == (n, 2) and gap.shape == (n,)
+    positions = np.column_stack((rng.uniform(-20.0, 20.0, size=(n, 2)), rng.uniform(0.5, 40.0, n)))
+    ends = rng.uniform(-20.0, 20.0, size=(n, 2, 2))
+    midpoints = 0.5 * (ends[:, 0] + ends[:, 1])
+    aims = np.column_stack((midpoints, np.zeros(n))) - positions
+    distances = np.linalg.norm(aims, axis=1)
+    radial, axial = aimed_pair_coords(positions, distances, midpoints, 0.5 * (ends[:, 0] - ends[:, 1]))
+    assert radial.shape == (n,) and axial.shape == (n, 2)
     for k in range(n):
         (r1, phi1, z1), (r2, phi2, z2) = (
-            local_frame(positions[k], axes[k], end) for end in ends[k]
+            local_frame(positions[k], aims[k] / distances[k], end) for end in ends[k]
         )
-        np.testing.assert_allclose(radial[k], (r1, r2), rtol=1e-9)
+        np.testing.assert_allclose((r1, r2), radial[k], rtol=1e-9)
         np.testing.assert_allclose(axial[k], (z1, z2), rtol=1e-9, atol=1e-9)
-        assert -math.pi <= gap[k] <= math.pi
-        assert math.remainder(gap[k] - (phi2 - phi1), 2.0 * math.pi) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_beam_frame_is_right_handed():
-    rng = np.random.default_rng(29)
-    for _ in range(100):
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        pos = rng.uniform(-10.0, 10.0, 3)
-        p = pos + 3.0 * axis + rng.normal(size=3)
-        # rotate p a quarter turn about the axis; the gap must read +pi/2
-        rel = p - pos
-        rot = (
-            np.dot(axis, rel) * axis
-            + np.cos(math.pi / 2.0) * (rel - np.dot(axis, rel) * axis)
-            + np.sin(math.pi / 2.0) * np.cross(axis, rel)
-        )
-        radial, _, gap = pair_frame_coords(pos, axis, np.array([p, pos + rot]))
-        assert gap == pytest.approx(math.pi / 2.0, abs=1e-9)
-        assert radial[1] == pytest.approx(radial[0], rel=1e-9)
+        assert math.remainder(phi2 - phi1 - math.pi, 2.0 * math.pi) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_square_angles():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oamcoop.beam import BeamSpec, feasible_ring_radius, ring_waists
-from oamcoop.geometry import aim_at_midpoints, bisector_intersection, pair_frame_coords
+from oamcoop.geometry import aim_at_midpoints, aimed_pair_coords, bisector_intersection
 from oamcoop.link import (
     C_LIGHT,
     FLAG_MODE_INSEPARABLE,
@@ -18,6 +18,7 @@ from oamcoop.link import (
     mode_amplitudes,
 )
 from oamcoop.selection import CugSelection
+from test_geometry import local_frame
 
 
 def lg_intensity(mode, r, w):
@@ -78,14 +79,15 @@ def test_channel_columns_follow_mode_set():
 def _antipodal_pair(cfg, beam, rho, phi, z):
     """Amplitudes and half-angle weights of users at azimuths phi and phi + pi on a ring.
 
-    The station sits at height z above the origin and aims straight down, so
-    the ground users at radius rho are at axial distance z.
+    The station sits at height z above the origin and aims straight down at
+    the pair's midpoint, so the ground users at radius rho are at axial
+    distance z and their azimuth gap is pi.
     """
     ends = rho * np.array([(math.cos(t), math.sin(t)) for t in (phi, phi + math.pi)])
-    radial, axial, gap = pair_frame_coords((0.0, 0.0, z), (0.0, 0.0, -1.0), ends)
-    amplitude = mode_amplitudes(cfg, radial, beam.envelope(np.abs(axial)))
+    radial, axial = aimed_pair_coords((0.0, 0.0, z), z, (0.0, 0.0), 0.5 * (ends[0] - ends[1]))
+    amplitude = mode_amplitudes(cfg, np.full(2, radial), beam.envelope(np.abs(axial)))
     m1, m2 = cfg.mode_set
-    return amplitude, gap, half_angle_weights((m2 - m1) * gap)
+    return amplitude, math.pi, half_angle_weights((m2 - m1) * math.pi)
 
 
 def test_antipodal_columns_orthogonal_for_odd_mode_gap():
@@ -184,15 +186,18 @@ def test_tilted_pair_leaks_mode_amplitude_imbalance():
     gain2 = cfg.transmit_power * cfg.effective_aperture
     pairs = ((sel.cug1, sel.chord1), (sel.cug2, sel.chord2))
     for k, (pair, chord) in enumerate(pairs):
-        radial, axial, gap = pair_frame_coords(tilted.position, tilted.axes[k], users[list(pair)])
-        assert abs(math.remainder(float(gap) - math.pi, 2 * math.pi)) < 1e-9
-        assert abs(abs(axial[0]) - abs(axial[1])) > 0.1
         z = float(tilted.distances[k])
+        aim = np.array((*(m1, m2)[k], 0.0)) - tilted.position
+        coords = [local_frame(tilted.position, aim / z, users[i]) for i in pair]
+        (radial0, phi0, axial0), (radial1, phi1, axial1) = coords
+        assert abs(math.remainder(phi1 - phi0 - math.pi, 2 * math.pi)) < 1e-9
+        assert radial1 == pytest.approx(radial0, rel=1e-9)
+        assert abs(axial0 - axial1) > 0.1
         beam = BeamSpec(lam, 1, float(ring_waists(0.5 * chord, z, lam, 1)))
         amp = np.empty((2, 2))  # [user, mode]
-        for i in range(2):
+        for i, (radial, _, axial) in enumerate(coords):
             for m, mode in enumerate(cfg.mode_set):
-                i_m = lg_intensity(mode, radial[i], beam.envelope(abs(axial[i])))
+                i_m = lg_intensity(mode, radial, beam.envelope(abs(axial)))
                 amp[i, m] = math.sqrt(gain2 * i_m)
         for m in range(2):
             o = 1 - m

@@ -12,7 +12,7 @@ from mpmath import mp
 from oamcoop import sim
 from oamcoop.beam import BeamSpec, ring_waists
 from oamcoop.errors import ParallelChordsError
-from oamcoop.geometry import GroundPoint, aim_at_midpoints, bisector_intersection
+from oamcoop.geometry import GroundPoint, Placement, aim_at_midpoints, bisector_intersection
 from oamcoop.link import (
     FLAG_MODE_INSEPARABLE,
     FLAG_WAIST_INFEASIBLE,
@@ -124,7 +124,9 @@ def _reference_link(cfg, placement, selection, users):
             out.append((0.0, None, (0.0, 0.0), (FLAG_WAIST_INFEASIBLE,)))
             continue
         beam = BeamSpec(lam, cfg.ring_mode, waist)
-        coords = [local_frame(placement.position, placement.axes[k], users[i]) for i in pair]
+        midpoint = 0.5 * (users[pair[0]] + users[pair[1]])
+        axis = (np.array((*midpoint, 0.0)) - placement.position) / placement.distances[k]
+        coords = [local_frame(placement.position, axis, users[i]) for i in pair]
         h = np.empty((2, 2), dtype=complex)
         for i, (radial, azimuth, axial) in enumerate(coords):
             for m, mode in enumerate(cfg.mode_set):
@@ -199,6 +201,62 @@ def test_batch_matches_per_position_links(scene):
                 assert batch.waist[n, k] == pytest.approx(waist, rel=1e-12)
 
 
+def _scene_se(cfg, users, selection, stations):
+    """se_total of stations aimed at the selection's chord midpoints, as run_trial aims them."""
+    ends = users[[selection.cug1, selection.cug2]]
+    m1, m2 = 0.5 * (ends[:, 0] + ends[:, 1])
+    return evaluate_placements(cfg, aim_at_midpoints(stations, m1, m2), selection, users).se_total
+
+
+@PROPERTY
+@given(scene=link_scene())
+def test_link_aims_at_the_selection_midpoints_whatever_the_placement_distances(scene):
+    # The aim distances come from the selection's own chord midpoints, so a
+    # Placement carrying other distances (here a constant 7 m) scores the
+    # same bits as one aimed by aim_at_midpoints.
+    cfg, users, selection, stations = scene
+    aimed = _scene_se(cfg, users, selection, stations)
+    wrong = Placement(position=stations, distances=np.full((len(stations), 2), 7.0))
+    assert np.array_equal(evaluate_placements(cfg, wrong, selection, users).se_total, aimed)
+
+
+@PROPERTY
+@given(scene=link_scene())
+def test_se_is_bit_identical_under_exact_relabellings_and_the_x_mirror(scene):
+    # Swapping the pairs, swapping the users inside each pair and mirroring
+    # x of users and stations change no rounding step of the link: SE must
+    # match to the bit, not to a tolerance.
+    cfg, users, selection, stations = scene
+    se = _scene_se(cfg, users, selection, stations)
+    (a, b), (c, d) = selection.cug1, selection.cug2
+    pairs_swapped = replace(
+        selection, cug1=(c, d), cug2=(a, b), chord1=selection.chord2, chord2=selection.chord1
+    )
+    users_swapped = replace(selection, cug1=(b, a), cug2=(d, c))
+    mirror = np.array((-1.0, 1.0, 1.0))
+    assert np.array_equal(_scene_se(cfg, users, pairs_swapped, stations), se)
+    assert np.array_equal(_scene_se(cfg, users, users_swapped, stations), se)
+    assert np.array_equal(_scene_se(cfg, users * mirror[:2], selection, stations * mirror), se)
+
+
+@PROPERTY
+@given(
+    scene=link_scene(),
+    turn=st.floats(-math.pi, math.pi),
+    shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+)
+def test_se_is_invariant_under_a_rigid_motion(scene, turn, shift):
+    # A rotation plus translation of the plane rounds every coordinate, so
+    # SE agrees to a relative bound, not to the bit.
+    cfg, users, selection, stations = scene
+    rotation = np.array(((math.cos(turn), -math.sin(turn)), (math.sin(turn), math.cos(turn))))
+    moved_users = users @ rotation.T + shift
+    moved_stations = np.column_stack((stations[:, :2] @ rotation.T + shift, stations[:, 2]))
+    se = _scene_se(cfg, users, selection, stations)
+    moved = _scene_se(cfg, moved_users, selection, moved_stations)
+    np.testing.assert_allclose(moved, se, rtol=1e-11, atol=0.0)
+
+
 @PROPERTY
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -263,6 +321,91 @@ def test_near_aligned_link_matches_a_60_digit_reference(user1, offsets, turns, t
     np.testing.assert_allclose(sinr, reference_sinr, rtol=1e-14, atol=0.0)
     assert float(condition) == pytest.approx(reference_condition, rel=1e-14, abs=0.0)
     assert separable
+
+
+def _reference_se_50_digits(cfg, station, selection, users):
+    """50-digit se_total of one station aimed at the selection's chord midpoints.
+
+    Each user is projected onto its pair's aim axis, and its azimuth is read
+    in a right-handed frame about that axis; nothing assumes the two users
+    antipodal or at one radius.  The channel h_im = A_im exp(i m phi_i) is
+    separated by the helical-phase projection, and an ill-conditioned one
+    (np.linalg.cond semantics, via the SVD) gives its pair zero rate.
+    """
+    with mp.workdps(50):
+        lam = mp.mpf(cfg.wavelength)
+        gain2 = mp.mpf(cfg.transmit_power) * mp.mpf(cfg.effective_aperture)
+        ring = abs(cfg.ring_mode)
+        p = [mp.mpf(float(v)) for v in station]
+        se = mp.mpf(0)
+        for pair, chord in ((selection.cug1, selection.chord1), (selection.cug2, selection.chord2)):
+            ends = [[mp.mpf(float(users[i][0])), mp.mpf(float(users[i][1])), mp.mpf(0)] for i in pair]
+            aim = [(ends[0][j] + ends[1][j]) / 2 - p[j] for j in range(3)]
+            d = mp.sqrt(mp.fsum(v * v for v in aim))
+            axis = [v / d for v in aim]
+            half_sum = (mp.mpf(chord) / 2) ** 2 / ring
+            disc = half_sum**2 - (d * lam / mp.pi) ** 2
+            if disc < 0:  # the ring is out of reach at this distance
+                continue
+            waist2 = half_sum - mp.sqrt(disc)
+            rayleigh = mp.pi * waist2 / lam
+            # axis x (0, 0, 1), horizontal; no station here is straight above a midpoint.
+            e1 = [axis[1], -axis[0], mp.mpf(0)]
+            norm = mp.sqrt(e1[0] ** 2 + e1[1] ** 2)
+            e1 = [v / norm for v in e1]
+            e2 = [
+                axis[1] * e1[2] - axis[2] * e1[1],
+                axis[2] * e1[0] - axis[0] * e1[2],
+                axis[0] * e1[1] - axis[1] * e1[0],
+            ]
+            amplitude, azimuth = [], []
+            for end in ends:
+                rel = [end[j] - p[j] for j in range(3)]
+                axial = mp.fsum(r * a for r, a in zip(rel, axis))
+                t = [r - axial * a for r, a in zip(rel, axis)]
+                radial2 = mp.fsum(v * v for v in t)
+                across, up = (mp.fsum(v * e for v, e in zip(t, unit)) for unit in (e1, e2))
+                azimuth.append(mp.atan2(up, across))
+                w2 = waist2 * (1 + (axial / rayleigh) ** 2)
+                u = 2 * radial2 / w2
+                intensity = [
+                    2 / (mp.pi * w2 * mp.factorial(abs(m))) * u ** abs(m) * mp.exp(-u) for m in cfg.mode_set
+                ]
+                amplitude.append([mp.sqrt(gain2 * i) for i in intensity])
+            h = mp.matrix(2, 2)
+            for i in range(2):
+                for k, m in enumerate(cfg.mode_set):
+                    h[i, k] = amplitude[i][k] * mp.expj(m * azimuth[i])
+            sigma = mp.svd_c(h, compute_uv=False)
+            if max(sigma[0], sigma[1]) > ILL_CONDITION_LIMIT * min(sigma[0], sigma[1]):
+                continue
+            for k, m in enumerate(cfg.mode_set):
+                # User i's sample weighted by exp(-i m phi_i) / sqrt(2).
+                own = abs(sum(mp.expj(-m * azimuth[i]) * h[i, k] for i in range(2))) ** 2 / 2
+                leak = abs(sum(mp.expj(-m * azimuth[i]) * h[i, 1 - k] for i in range(2))) ** 2 / 2
+                se += mp.log(1 + own / (leak + mp.mpf(cfg.noise_power)), 2)
+        return se
+
+
+def test_se_near_the_acoc_station_matches_a_50_digit_reference():
+    # Stations 1 um to 10 m off the acoc station of three paper-sized
+    # drops: the leak there comes from the small difference of the two
+    # users' axial distances, the quantity most exposed to cancellation.
+    cfg = ScenarioConfig()
+    rng = np.random.default_rng(2208)
+    worst = 0.0
+    for trial in range(3):
+        drop = sim.drop_users(cfg, trial)
+        pos, selection = drop.positions, sim.select_users(cfg, drop)
+        acoc = np.array(sim.scheme_station(cfg, pos, selection, trial, sim.SCHEME_ACOC))
+        offset = 10.0 ** rng.uniform(-6.0, 1.0, size=100)
+        turn = rng.uniform(-math.pi, math.pi, size=100)
+        stations = acoc + np.column_stack((offset * np.cos(turn), offset * np.sin(turn), np.zeros(100)))
+        se = _scene_se(cfg.link, pos, selection, stations)
+        for station, value in zip(stations, se):
+            reference = _reference_se_50_digits(cfg.link, station, selection, pos)
+            worst = max(worst, float(abs(mp.mpf(float(value)) - reference) / reference))
+    assert worst <= 5e-13, worst
 
 
 # Pair 1 has an 8 m chord, pair 2 a 3 m chord, so a station at height 60 m

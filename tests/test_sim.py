@@ -158,7 +158,7 @@ def test_suboptimal_station_hovers_over_first_pair():
     m1 = (users[0] + users[1]) / 2.0
     np.testing.assert_allclose(pl.position, [m1[0], m1[1], 50.0], rtol=1e-12)
     # first beam points straight down at its midpoint
-    np.testing.assert_allclose(pl.axes[0], [0.0, 0.0, -1.0], atol=1e-12)
+    assert pl.distances[0] == pytest.approx(50.0, rel=1e-12)
 
 
 def test_random_station_is_seeded_per_trial_and_bounded():
@@ -180,9 +180,8 @@ def test_cow_station_is_the_configured_ground_station():
     pl = _aimed(users, scheme_station(FAST, users, sel, 0, "cow"))
     np.testing.assert_allclose(pl.position, [50.0, 50.0, 50.0], rtol=1e-12)
     m2 = (users[2] + users[3]) / 2.0
-    expect = np.array([m2[0], m2[1], 0.0]) - pl.position
-    expect /= np.linalg.norm(expect)
-    np.testing.assert_allclose(pl.axes[1], expect, rtol=1e-12)
+    expect = np.linalg.norm(np.array([m2[0], m2[1], 0.0]) - pl.position)
+    assert pl.distances[1] == pytest.approx(expect, rel=1e-12)
     moved = replace(FAST, ground_bs_position=(10.0, 20.0, 30.0))
     assert scheme_station(moved, users, sel, 0, "cow") == (10.0, 20.0, 30.0)
 
@@ -257,6 +256,38 @@ def test_heatmap_grid_and_optimum():
     assert res.se_at_optimum >= np.max(res.se) - 1e-9
     again = se_heatmap(cfg, 9)
     np.testing.assert_array_equal(res.se, again.se)
+
+
+def test_acoc_station_is_a_stationary_maximum_without_a_grid():
+    # Rings of stations at flight height around the closed-form acoc
+    # station, scored with it in one call: every ring station must lose SE,
+    # and the mean loss must grow as the square of the offset (100x per
+    # decade), as it does at a stationary point.  A station 30 um off the
+    # bisector intersection already loses to stations of its 0.1 mm ring;
+    # the mean over a whole ring cancels the linear term, so only the
+    # strict maximum sees that.
+    cfg = ScenarioConfig()
+    radii = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+    turn = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    ring = np.column_stack((np.cos(turn), np.sin(turn), np.zeros(64)))
+    losses = []
+    for trial in range(24):
+        drop = drop_users(cfg, trial)
+        sel = select_users(cfg, drop)
+        if sel is None:
+            continue
+        pos = drop.positions
+        acoc = np.array(scheme_station(cfg, pos, sel, trial, "acoc"))
+        stations = np.vstack([acoc] + [acoc + r * ring for r in radii])
+        ends = pos[[sel.cug1, sel.cug2]]
+        m1, m2 = 0.5 * (ends[:, 0] + ends[:, 1])
+        se = sim.evaluate_placements(cfg.link, aim_at_midpoints(stations, m1, m2), sel, pos).se_total
+        loss = se[0] - se[1:].reshape(len(radii), 64)
+        assert np.all(loss > 0.0), (trial, loss.min())
+        losses.append(loss.mean(axis=1))
+    assert len(losses) >= 20
+    mean_loss = np.mean(losses, axis=0)
+    assert 90.0 <= mean_loss[1] / mean_loss[0] <= 110.0, mean_loss
 
 
 def test_heatmap_requires_selection():
