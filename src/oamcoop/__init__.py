@@ -19,7 +19,6 @@ from .beam import (
 from .geometry import (
     GroundPoint,
     Placement,
-    aim_at_midpoints,
     angle_square_difference,
     bisector_intersection,
     transmission_distance,

@@ -27,15 +27,9 @@ class GroundPoint(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Placement:
-    """Station position plus one aim distance per user pair.
+    """Where a trial put its station: the position (3,) the link was given."""
 
-    ``distances[i]`` is the transmission distance from the position to pair
-    i's chord midpoint; the link reads only ``position``.  A Placement of N
-    stations puts a leading axis of length N on each field.
-    """
-
-    position: np.ndarray  # shape (3,) or (N, 3)
-    distances: np.ndarray  # shape (2,) or (N, 2)
+    position: np.ndarray  # shape (3,)
 
 
 def _dot(a, b):
@@ -90,12 +84,6 @@ def transmission_distance(position, midpoint):
     if not np.all(p[..., 2] > 0.0):
         raise ValueError("station height must be positive")
     return np.sqrt((p[..., 0] - m[..., 0]) ** 2 + (p[..., 1] - m[..., 1]) ** 2 + p[..., 2] ** 2)[()]
-
-
-def aim_at_midpoints(position, m1, m2) -> Placement:
-    """Placement of one station (3,) or N (N, 3) aimed at the two midpoints."""
-    pos = np.asarray(position, dtype=float)
-    return Placement(position=pos, distances=transmission_distance(pos[..., None, :], (m1, m2)))
 
 
 def aimed_pair_coords(position, distance, midpoint, half_chord):

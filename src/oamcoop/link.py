@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beam import MAX_MODE_ORDER, BeamSpec, mode_intensities, ring_waists
-from .geometry import Placement, aimed_pair_coords, transmission_distance
+from .geometry import aimed_pair_coords, transmission_distance
 
 C_LIGHT = 299_792_458.0
 
@@ -196,10 +196,10 @@ def projection_sinr(amplitude, cos2, sin2, noise_power: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LinkBatch:
-    """Link outcomes of N placements serving one selection, per placement and pair."""
+    """Link outcomes of N stations serving one selection, per station and pair."""
 
     waist: np.ndarray  # (N, 2); NaN where the pair's ring is out of reach
-    sinr: np.ndarray  # (N, 2, 2): placement, pair, mode
+    sinr: np.ndarray  # (N, 2, 2): station, pair, mode
     condition: np.ndarray  # (N, 2); inf where the pair's ring is out of reach
 
     @property
@@ -208,17 +208,17 @@ class LinkBatch:
 
     @property
     def se_total(self) -> np.ndarray:
-        """Spectrum efficiency of each placement, (N,): pair rates add."""
+        """Spectrum efficiency of each station, (N,): pair rates add."""
         se = self.se_per_mode
         return (se[:, 0, 0] + se[:, 0, 1]) + (se[:, 1, 0] + se[:, 1, 1])
 
 
-def evaluate_placements(cfg: LinkConfig, placement: Placement, selection, users) -> LinkBatch:
-    """Link outcomes of one placement or N (see Placement) serving a selection.
+def evaluate_placements(cfg: LinkConfig, stations, selection, users) -> LinkBatch:
+    """Link outcomes of one station (3,) or N stations (N, 3) serving a selection.
 
     Each beam is aimed at its pair's chord midpoint, taken from the
-    selection (of the placement only the position is read), so it sees its
-    users antipodal: every pair's relative phase is (m2 - m1) pi.  Per pair,
+    selection, at the station's slant distance to it, so it sees its users
+    antipodal: every pair's relative phase is (m2 - m1) pi.  Per pair,
     the waist is re-tuned so the ring-mode ring radius equals half the chord
     at the aim distance, the users' mode amplitudes are taken at their
     beam-frame radius and axial distances (aimed_pair_coords), and each mode
@@ -226,17 +226,18 @@ def evaluate_placements(cfg: LinkConfig, placement: Placement, selection, users)
     aligned pair gets the zero-forcing rate; off the station's bisector its
     users sit at unequal axial distances and lose rate to mode crosstalk.
     An unreachable ring or an inseparable channel gives the pair zero SINR.
+    A station at height zero or below raises ValueError.
     """
-    stations = np.asarray(placement.position, dtype=float).reshape(-1, 1, 3)
+    stations = np.asarray(stations, dtype=float).reshape(-1, 1, 3)
     ends = np.asarray(users, dtype=float)[[selection.cug1, selection.cug2]]  # [pair, user, xy]
     midpoints = 0.5 * (ends[:, 0] + ends[:, 1])
-    distances = transmission_distance(stations, midpoints)  # [placement, pair]
+    distances = transmission_distance(stations, midpoints)  # [station, pair]
     chords = np.array((selection.chord1, selection.chord2))
     waist = ring_waists(0.5 * chords, distances, cfg.wavelength, cfg.ring_mode)
     radial, axial = aimed_pair_coords(stations, distances, midpoints, 0.5 * (ends[:, 0] - ends[:, 1]))
-    # radial is [placement, pair] and axial [placement, pair, user].  Only the
-    # (placement, pair) entries whose ring is in reach go on: flat entry e is
-    # placement e // 2, pair e % 2.
+    # radial is [station, pair] and axial [station, pair, user].  Only the
+    # (station, pair) entries whose ring is in reach go on: flat entry e is
+    # station e // 2, pair e % 2.
     entry = np.flatnonzero(~np.isnan(waist))
     beam = BeamSpec(cfg.wavelength, cfg.ring_mode, waist.reshape(-1).take(entry)[:, None])
     # w(z) is even in z, so a user behind the waist plane sees the
@@ -254,9 +255,9 @@ def evaluate_placements(cfg: LinkConfig, placement: Placement, selection, users)
     return LinkBatch(waist=waist, sinr=out_sinr, condition=out_condition)
 
 
-def evaluate_link(cfg: LinkConfig, placement: Placement, selection, users) -> LinkReport:
-    """evaluate_placements for one placement, reported per pair with flags."""
-    batch = evaluate_placements(cfg, placement, selection, users)
+def evaluate_link(cfg: LinkConfig, station, selection, users) -> LinkReport:
+    """evaluate_placements for one station (3,), reported per pair with flags."""
+    batch = evaluate_placements(cfg, station, selection, users)
     se_per_mode = batch.se_per_mode[0].tolist()
     reports = []
     for k, pair in enumerate((selection.cug1, selection.cug2)):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InfeasiblePlacementError, InfeasibleScenarioError
-from .geometry import Placement, aim_at_midpoints
+from .geometry import Placement
 from .link import LinkConfig, LinkReport, evaluate_link, evaluate_placements
 from .selection import CugSelection, SelectionConfig, aligned_floors, greedy_select
 
@@ -180,13 +180,11 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, schemes=SCHEMES) -> list[Tr
             for scheme in schemes
         ]
     pos = drop.positions
-    ends = pos[[selection.cug1, selection.cug2]]  # [pair, user, xy]
-    m1, m2 = 0.5 * (ends[:, 0] + ends[:, 1])
     results = []
     for scheme in schemes:
-        station = scheme_station(cfg, pos, selection, trial_index, scheme)
-        placement = aim_at_midpoints(station, m1, m2)
-        report = evaluate_link(cfg.link, placement, selection, pos)
+        station = np.asarray(scheme_station(cfg, pos, selection, trial_index, scheme), dtype=float)
+        report = evaluate_link(cfg.link, station, selection, pos)
+        placement = Placement(station)
         results.append(
             TrialResult(trial_index, scheme, selection, placement, report, report.se_total, report.flags)
         )
@@ -269,8 +267,6 @@ def se_heatmap(cfg: ScenarioConfig, grid_size: int) -> HeatmapResult:
             "scenario yields no usable selection on trial 0"
         )
     pos = drop.positions
-    ends = pos[[selection.cug1, selection.cug2]]  # [pair, user, xy]
-    m1, m2 = 0.5 * (ends[:, 0] + ends[:, 1])
     station = scheme_station(cfg, pos, selection, 0, SCHEME_ACOC)
     xs = np.linspace(0.0, cfg.hotspot_side, grid_size)
     ys = np.linspace(0.0, cfg.hotspot_side, grid_size)
@@ -281,8 +277,8 @@ def se_heatmap(cfg: ScenarioConfig, grid_size: int) -> HeatmapResult:
     stations = np.vstack((grid, station))
     se = np.empty(len(stations))
     for s in range(0, len(stations), PLACEMENT_BATCH):
-        placement = aim_at_midpoints(stations[s : s + PLACEMENT_BATCH], m1, m2)
-        se[s : s + PLACEMENT_BATCH] = evaluate_placements(cfg.link, placement, selection, pos).se_total
+        block = stations[s : s + PLACEMENT_BATCH]
+        se[s : s + PLACEMENT_BATCH] = evaluate_placements(cfg.link, block, selection, pos).se_total
     return HeatmapResult(
         xs=xs,
         ys=ys,

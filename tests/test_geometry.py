@@ -9,7 +9,7 @@ from scipy.spatial import ConvexHull
 from oamcoop.errors import DegenerateChordError, ParallelChordsError
 from oamcoop.geometry import (
     NOT_SIMPLE,
-    aim_at_midpoints,
+    Placement,
     aimed_pair_coords,
     angle_square_difference,
     bisector_intersection,
@@ -144,19 +144,8 @@ def test_transmission_distance_circumradius_form():
         assert transmission_distance(pos, m) == pytest.approx(expect, rel=1e-12)
 
 
-def test_aim_at_midpoints_distances():
-    pos = np.array([10.0, 20.0, 50.0])
-    pl = aim_at_midpoints(pos, (14.0, 20.0), (10.0, 26.0))
-    assert pl.distances.shape == (2,)
-    assert pl.distances[0] == pytest.approx(math.hypot(4.0, 50.0), rel=1e-12)
-    assert pl.distances[1] == pytest.approx(math.hypot(6.0, 50.0), rel=1e-12)
-    batch = aim_at_midpoints(np.array([pos, pos + 1.0]), (14.0, 20.0), (10.0, 26.0))
-    assert batch.distances.shape == (2, 2)
-    assert np.array_equal(batch.distances[0], pl.distances)
-
-
 def test_placement_is_frozen():
-    pl = aim_at_midpoints(np.array([0.0, 0.0, 10.0]), (1.0, 0.0), (0.0, 1.0))
+    pl = Placement(position=np.array([0.0, 0.0, 10.0]))
     with pytest.raises(AttributeError):
         pl.position = np.zeros(3)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oamcoop.beam import BeamSpec, feasible_ring_radius, ring_waists
-from oamcoop.geometry import aim_at_midpoints, aimed_pair_coords, bisector_intersection
+from oamcoop.geometry import aimed_pair_coords, bisector_intersection, transmission_distance
 from oamcoop.link import (
     C_LIGHT,
     FLAG_MODE_INSEPARABLE,
@@ -141,22 +141,19 @@ def _aligned_setup():
         angle_square_diff=0.0,
     )
     f = bisector_intersection(users[0], users[1], users[2], users[3])
-    m1 = (users[0] + users[1]) / 2.0
-    m2 = (users[2] + users[3]) / 2.0
-    placement = aim_at_midpoints(np.array([f.x, f.y, 50.0]), m1, m2)
-    return users, sel, placement
+    return users, sel, np.array([f.x, f.y, 50.0])
 
 
 def test_aligned_link_matches_closed_form():
     # with both users on the ring at antipodal azimuths the projection SINR
     # (like the ZF SINR) collapses to the two-antenna combined SNR,
     # 2 * P * A * I_m / N per mode
-    users, sel, placement = _aligned_setup()
+    users, sel, station = _aligned_setup()
     cfg = LinkConfig()
-    report = evaluate_link(cfg, placement, sel, users)
+    report = evaluate_link(cfg, station, sel, users)
     lam = cfg.wavelength
-    for k, chord in ((0, sel.chord1), (1, sel.chord2)):
-        z = float(placement.distances[k])
+    for k, (pair, chord) in enumerate(((sel.cug1, sel.chord1), (sel.cug2, sel.chord2))):
+        z = float(transmission_distance(station, 0.5 * (users[pair[0]] + users[pair[1]])))
         envelope = BeamSpec(lam, 1, float(ring_waists(0.5 * chord, z, lam, 1))).envelope(z)
         expect = 0.0
         for mode in cfg.mode_set:
@@ -174,21 +171,19 @@ def test_tilted_pair_leaks_mode_amplitude_imbalance():
     # off the bisector both users still project antipodal about the aim
     # axis, but at unequal axial distances, so their mode amplitudes differ
     # and the helical-phase projection leaks each mode into the other
-    users, sel, placement = _aligned_setup()
+    users, sel, station = _aligned_setup()
     cfg = LinkConfig()
     lam = cfg.wavelength
     m1 = (users[0] + users[1]) / 2.0
     m2 = (users[2] + users[3]) / 2.0
-    tilted = aim_at_midpoints(
-        placement.position + np.array([3.0, -1.5, 0.0]), m1, m2
-    )
+    tilted = station + np.array([3.0, -1.5, 0.0])
     report = evaluate_link(cfg, tilted, sel, users)
     gain2 = cfg.transmit_power * cfg.effective_aperture
     pairs = ((sel.cug1, sel.chord1), (sel.cug2, sel.chord2))
     for k, (pair, chord) in enumerate(pairs):
-        z = float(tilted.distances[k])
-        aim = np.array((*(m1, m2)[k], 0.0)) - tilted.position
-        coords = [local_frame(tilted.position, aim / z, users[i]) for i in pair]
+        z = float(transmission_distance(tilted, (m1, m2)[k]))
+        aim = np.array((*(m1, m2)[k], 0.0)) - tilted
+        coords = [local_frame(tilted, aim / z, users[i]) for i in pair]
         (radial0, phi0, axial0), (radial1, phi1, axial1) = coords
         assert abs(math.remainder(phi1 - phi0 - math.pi, 2 * math.pi)) < 1e-9
         assert radial1 == pytest.approx(radial0, rel=1e-9)
@@ -209,19 +204,19 @@ def test_tilted_pair_leaks_mode_amplitude_imbalance():
 
 
 def test_aligned_modes_have_equal_sinr_per_mode_pairing():
-    users, sel, placement = _aligned_setup()
-    report = evaluate_link(LinkConfig(), placement, sel, users)
+    users, sel, station = _aligned_setup()
+    report = evaluate_link(LinkConfig(), station, sel, users)
     for cug in report.cugs:
         # mode 1 rides its tuned ring; mode 2's ring is wider so it is weaker
         assert cug.sinr[0] > cug.sinr[1] > 0.0
 
 
 def test_unreachable_ring_zeroes_one_pair():
-    users, sel, placement = _aligned_setup()
+    users, sel, station = _aligned_setup()
     import dataclasses
 
     tight = dataclasses.replace(sel, chord1=0.5)
-    report = evaluate_link(LinkConfig(), placement, tight, users)
+    report = evaluate_link(LinkConfig(), station, tight, users)
     assert report.cugs[0].se == 0.0
     assert report.cugs[0].waist is None
     assert report.cugs[0].flags == (FLAG_WAIST_INFEASIBLE,)
@@ -231,8 +226,8 @@ def test_unreachable_ring_zeroes_one_pair():
 
 
 def test_even_mode_gap_flags_inseparable_link():
-    users, sel, placement = _aligned_setup()
-    report = evaluate_link(LinkConfig(mode_set=(1, 3)), placement, sel, users)
+    users, sel, station = _aligned_setup()
+    report = evaluate_link(LinkConfig(mode_set=(1, 3)), station, sel, users)
     assert FLAG_MODE_INSEPARABLE in report.flags
     assert report.se_total == 0.0
 
@@ -240,19 +235,15 @@ def test_even_mode_gap_flags_inseparable_link():
 def test_misaligned_station_never_beats_aligned():
     # hold the selection fixed and push the station off the equidistant
     # point; the evaluated rate must not increase
-    users, sel, placement = _aligned_setup()
+    users, sel, station = _aligned_setup()
     cfg = LinkConfig()
-    base = evaluate_link(cfg, placement, sel, users).se_total
+    base = evaluate_link(cfg, station, sel, users).se_total
     rng = np.random.default_rng(59)
-    m1 = (users[0] + users[1]) / 2.0
-    m2 = (users[2] + users[3]) / 2.0
     for delta in (0.5, 1.0, 2.0):
         worst = base
         for _ in range(40):
             step = rng.normal(size=2)
             step *= delta / np.linalg.norm(step)
-            moved = aim_at_midpoints(
-                placement.position + np.array([step[0], step[1], 0.0]), m1, m2
-            )
+            moved = station + np.array([step[0], step[1], 0.0])
             worst = min(worst, evaluate_link(cfg, moved, sel, users).se_total)
         assert worst <= base + 1e-9

@@ -12,7 +12,7 @@ from mpmath import mp
 from oamcoop import sim
 from oamcoop.beam import BeamSpec, ring_waists
 from oamcoop.errors import ParallelChordsError
-from oamcoop.geometry import GroundPoint, Placement, aim_at_midpoints, bisector_intersection
+from oamcoop.geometry import GroundPoint, bisector_intersection, transmission_distance
 from oamcoop.link import (
     FLAG_MODE_INSEPARABLE,
     FLAG_WAIST_INFEASIBLE,
@@ -112,21 +112,21 @@ def test_condition_broadcasts_over_leading_axes():
     np.testing.assert_allclose(condition, np.linalg.cond(h), rtol=1e-9)
 
 
-def _reference_link(cfg, placement, selection, users):
+def _reference_link(cfg, station, selection, users):
     """Per-pair loop over scalar calls, with np.linalg.cond: (se, waist, sinr, flags)."""
     lam = cfg.wavelength
     gain = math.sqrt(cfg.transmit_power * cfg.effective_aperture)
     out = []
     pairs = ((selection.cug1, selection.chord1), (selection.cug2, selection.chord2))
-    for k, (pair, chord) in enumerate(pairs):
-        waist = float(ring_waists(0.5 * chord, float(placement.distances[k]), lam, cfg.ring_mode))
+    for pair, chord in pairs:
+        aim = np.array((*(0.5 * (users[pair[0]] + users[pair[1]])), 0.0))
+        distance = math.dist(station, aim)
+        waist = float(ring_waists(0.5 * chord, distance, lam, cfg.ring_mode))
         if math.isnan(waist):  # the ring is below its diffraction floor
             out.append((0.0, None, (0.0, 0.0), (FLAG_WAIST_INFEASIBLE,)))
             continue
         beam = BeamSpec(lam, cfg.ring_mode, waist)
-        midpoint = 0.5 * (users[pair[0]] + users[pair[1]])
-        axis = (np.array((*midpoint, 0.0)) - placement.position) / placement.distances[k]
-        coords = [local_frame(placement.position, axis, users[i]) for i in pair]
+        coords = [local_frame(station, (aim - station) / distance, users[i]) for i in pair]
         h = np.empty((2, 2), dtype=complex)
         for i, (radial, azimuth, axial) in enumerate(coords):
             for m, mode in enumerate(cfg.mode_set):
@@ -179,17 +179,14 @@ def link_scene(draw):
 @given(scene=link_scene())
 def test_batch_matches_per_position_links(scene):
     cfg, users, selection, stations = scene
-    m1 = 0.5 * (users[0] + users[1])
-    m2 = 0.5 * (users[2] + users[3])
-    batch = evaluate_placements(cfg, aim_at_midpoints(stations, m1, m2), selection, users)
+    batch = evaluate_placements(cfg, stations, selection, users)
     se_total = batch.se_total
     assert se_total.shape == (len(stations),)
     for n, station in enumerate(stations):
-        placement = aim_at_midpoints(station, m1, m2)
-        report = evaluate_link(cfg, placement, selection, users)
+        report = evaluate_link(cfg, station, selection, users)
         assert se_total[n] == pytest.approx(report.se_total, rel=1e-12, abs=0.0)
         assert se_total[n] == report.se_total
-        reference = _reference_link(cfg, placement, selection, users)
+        reference = _reference_link(cfg, station, selection, users)
         for k, (cug, (se, waist, sinr, flags)) in enumerate(zip(report.cugs, reference)):
             assert cug.flags == flags
             assert cug.se == pytest.approx(se, rel=1e-9, abs=0.0)
@@ -202,22 +199,8 @@ def test_batch_matches_per_position_links(scene):
 
 
 def _scene_se(cfg, users, selection, stations):
-    """se_total of stations aimed at the selection's chord midpoints, as run_trial aims them."""
-    ends = users[[selection.cug1, selection.cug2]]
-    m1, m2 = 0.5 * (ends[:, 0] + ends[:, 1])
-    return evaluate_placements(cfg, aim_at_midpoints(stations, m1, m2), selection, users).se_total
-
-
-@PROPERTY
-@given(scene=link_scene())
-def test_link_aims_at_the_selection_midpoints_whatever_the_placement_distances(scene):
-    # The aim distances come from the selection's own chord midpoints, so a
-    # Placement carrying other distances (here a constant 7 m) scores the
-    # same bits as one aimed by aim_at_midpoints.
-    cfg, users, selection, stations = scene
-    aimed = _scene_se(cfg, users, selection, stations)
-    wrong = Placement(position=stations, distances=np.full((len(stations), 2), 7.0))
-    assert np.array_equal(evaluate_placements(cfg, wrong, selection, users).se_total, aimed)
+    """se_total of the stations serving the selection."""
+    return evaluate_placements(cfg, stations, selection, users).se_total
 
 
 @PROPERTY
@@ -434,10 +417,8 @@ EDGE_SELECTION = CugSelection(
 @pytest.mark.parametrize("modes", [(1, 2), (1, 3)])
 def test_batch_entries_equal_links_of_one_at_the_reach_edges(stations, infeasible, modes):
     cfg = LinkConfig(mode_set=modes)
-    m1 = 0.5 * (EDGE_USERS[0] + EDGE_USERS[1])
-    m2 = 0.5 * (EDGE_USERS[2] + EDGE_USERS[3])
     stations = np.array(stations)
-    batch = evaluate_placements(cfg, aim_at_midpoints(stations, m1, m2), EDGE_SELECTION, EDGE_USERS)
+    batch = evaluate_placements(cfg, stations, EDGE_SELECTION, EDGE_USERS)
     n = len(stations)
     assert batch.waist.shape == batch.condition.shape == (n, 2)
     assert batch.sinr.shape == (n, 2, 2) and batch.se_total.shape == (n,)
@@ -445,7 +426,7 @@ def test_batch_entries_equal_links_of_one_at_the_reach_edges(stations, infeasibl
     assert out.tolist() == infeasible
     assert np.all(batch.sinr[out] == 0.0) and np.all(batch.condition[out] == math.inf)
     for i, station in enumerate(stations):
-        report = evaluate_link(cfg, aim_at_midpoints(station, m1, m2), EDGE_SELECTION, EDGE_USERS)
+        report = evaluate_link(cfg, station, EDGE_SELECTION, EDGE_USERS)
         assert report.se_total == pytest.approx(batch.se_total[i], rel=1e-12, abs=0.0)
         assert report.se_total == batch.se_total[i]
         for k, cug in enumerate(report.cugs):
@@ -458,16 +439,26 @@ def test_batch_entries_equal_links_of_one_at_the_reach_edges(stations, infeasibl
                 assert cug.flags == (() if separable else (FLAG_MODE_INSEPARABLE,))
 
 
+@pytest.mark.parametrize("height", [0.0, -1.0])
+@pytest.mark.parametrize("block", [False, True], ids=["one-station", "one-bad-in-a-block"])
+def test_station_at_or_below_the_ground_is_rejected(height, block):
+    bad = np.array((50.0, 50.0, height))
+    stations = np.array([(45.0, 50.0, 8.0), bad, (55.0, 52.0, 60.0)]) if block else bad
+    midpoints = 0.5 * (EDGE_USERS[[0, 2]] + EDGE_USERS[[1, 3]])
+    with pytest.raises(ValueError, match="^station height must be positive$"):
+        transmission_distance(stations[..., None, :], midpoints)
+    with pytest.raises(ValueError, match="^station height must be positive$"):
+        evaluate_placements(LinkConfig(), stations, EDGE_SELECTION, EDGE_USERS)
+
+
 def test_heatmap_rows_equal_per_node_links():
     cfg = replace(ScenarioConfig(), user_count=800, master_seed=3)
     result = se_heatmap(cfg, 11)
     sel, pos = result.selection, result.drop.positions
-    m1 = 0.5 * (pos[sel.cug1[0]] + pos[sel.cug1[1]])
-    m2 = 0.5 * (pos[sel.cug2[0]] + pos[sel.cug2[1]])
     for j, y in enumerate(result.ys):
         for i, x in enumerate(result.xs):
-            placement = aim_at_midpoints((x, y, cfg.fbs_height), m1, m2)
-            assert result.se[j, i] == evaluate_link(cfg.link, placement, sel, pos).se_total
+            station = (x, y, cfg.fbs_height)
+            assert result.se[j, i] == evaluate_link(cfg.link, station, sel, pos).se_total
 
 
 @pytest.mark.parametrize("batch", [7, 10_000, sim.PLACEMENT_BATCH])
@@ -481,11 +472,9 @@ def test_heatmap_blocks_equal_row_by_row_scoring(monkeypatch, batch, grid):
     monkeypatch.setattr(sim, "PLACEMENT_BATCH", batch)
     result = se_heatmap(cfg, grid)
     sel, pos = result.selection, result.drop.positions
-    m1 = 0.5 * (pos[sel.cug1[0]] + pos[sel.cug1[1]])
-    m2 = 0.5 * (pos[sel.cug2[0]] + pos[sel.cug2[1]])
     heights = np.full(grid, cfg.fbs_height)
     rows = []
     for y in result.ys:
         row = np.column_stack((result.xs, np.full(grid, y), heights))
-        rows.append(evaluate_placements(cfg.link, aim_at_midpoints(row, m1, m2), sel, pos).se_total)
+        rows.append(evaluate_placements(cfg.link, row, sel, pos).se_total)
     assert np.array_equal(result.se, np.array(rows))

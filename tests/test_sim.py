@@ -8,7 +8,7 @@ import pytest
 
 from oamcoop import sim
 from oamcoop.errors import InfeasiblePlacementError, InfeasibleScenarioError
-from oamcoop.geometry import aim_at_midpoints, bisector_intersection
+from oamcoop.geometry import bisector_intersection, transmission_distance
 from oamcoop.link import LinkConfig, evaluate_link
 from oamcoop.selection import CugSelection, SelectionConfig
 from oamcoop.sim import (
@@ -97,7 +97,7 @@ def test_place_acoc_sits_on_equidistant_point():
     assert station[1] == pytest.approx(f.y, rel=1e-12)
     assert station[2] == 50.0
     m1 = (users[0] + users[1]) / 2.0
-    assert _aimed(users, station).distances[0] == pytest.approx(
+    assert transmission_distance(station, m1) == pytest.approx(
         math.dist((f.x, f.y, 50.0), (m1[0], m1[1], 0.0)), rel=1e-12
     )
 
@@ -110,9 +110,9 @@ def test_place_acoc_on_exact_rectangle():
     sel = CugSelection((0, 1), (2, 3), 6.0, 6.0, diag, diag, 0.0)
     station = place_acoc(users, sel, 50.0, 0.2998, 1)
     np.testing.assert_allclose(station, (50.0, 50.0, 50.0), rtol=0, atol=1e-12)
-    pl = _aimed(users, station)
-    assert pl.distances[0] == pytest.approx(pl.distances[1], rel=1e-12)
-    report = evaluate_link(LinkConfig(), pl, sel, users)
+    d1, d2 = transmission_distance(station, 0.5 * (users[[0, 2]] + users[[1, 3]]))
+    assert d1 == pytest.approx(d2, rel=1e-12)
+    report = evaluate_link(LinkConfig(), station, sel, users)
     assert report.flags == ()
     assert report.se_total > 0.0
 
@@ -146,19 +146,13 @@ def test_place_acoc_names_the_pair_below_its_floor():
         place_acoc(users, sel, 50.0, 0.2998, 1)
 
 
-def _aimed(users, station):
-    m1 = (users[0] + users[1]) / 2.0
-    m2 = (users[2] + users[3]) / 2.0
-    return aim_at_midpoints(station, m1, m2)
-
-
 def test_suboptimal_station_hovers_over_first_pair():
     users, sel = _known_selection()
-    pl = _aimed(users, scheme_station(FAST, users, sel, 0, "suboptimal"))
+    station = scheme_station(FAST, users, sel, 0, "suboptimal")
     m1 = (users[0] + users[1]) / 2.0
-    np.testing.assert_allclose(pl.position, [m1[0], m1[1], 50.0], rtol=1e-12)
+    np.testing.assert_allclose(station, [m1[0], m1[1], 50.0], rtol=1e-12)
     # first beam points straight down at its midpoint
-    assert pl.distances[0] == pytest.approx(50.0, rel=1e-12)
+    assert transmission_distance(station, m1) == pytest.approx(50.0, rel=1e-12)
 
 
 def test_random_station_is_seeded_per_trial_and_bounded():
@@ -177,27 +171,31 @@ def test_random_station_is_seeded_per_trial_and_bounded():
 
 def test_cow_station_is_the_configured_ground_station():
     users, sel = _known_selection()
-    pl = _aimed(users, scheme_station(FAST, users, sel, 0, "cow"))
-    np.testing.assert_allclose(pl.position, [50.0, 50.0, 50.0], rtol=1e-12)
+    station = scheme_station(FAST, users, sel, 0, "cow")
+    np.testing.assert_allclose(station, [50.0, 50.0, 50.0], rtol=1e-12)
     m2 = (users[2] + users[3]) / 2.0
-    expect = np.linalg.norm(np.array([m2[0], m2[1], 0.0]) - pl.position)
-    assert pl.distances[1] == pytest.approx(expect, rel=1e-12)
+    expect = np.linalg.norm(np.array([m2[0], m2[1], 0.0]) - station)
+    assert transmission_distance(station, m2) == pytest.approx(expect, rel=1e-12)
     moved = replace(FAST, ground_bs_position=(10.0, 20.0, 30.0))
     assert scheme_station(moved, users, sel, 0, "cow") == (10.0, 20.0, 30.0)
 
 
 @pytest.mark.parametrize("schemes", [SCHEMES, ("acoc",), ("cow", "random")], ids="+".join)
-def test_run_trial_aims_each_station_once(monkeypatch, schemes):
+def test_run_trial_evaluates_each_station_once(monkeypatch, schemes):
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return aim_at_midpoints(*args)
+        return evaluate_link(*args)
 
-    monkeypatch.setattr(sim, "aim_at_midpoints", counted)
+    monkeypatch.setattr(sim, "evaluate_link", counted)
     results = run_trial(FAST, 0, schemes)
-    assert all(r.placement is not None for r in results)
     assert len(calls) == len(schemes)
+    pos = drop_users(FAST, 0).positions
+    for r in results:
+        position = r.placement.position
+        assert isinstance(position, np.ndarray) and position.dtype == float and position.shape == (3,)
+        assert np.array_equal(position, scheme_station(FAST, pos, r.selection, 0, r.scheme))
 
 
 def test_trials_share_one_selection_across_schemes():
@@ -279,9 +277,7 @@ def test_acoc_station_is_a_stationary_maximum_without_a_grid():
         pos = drop.positions
         acoc = np.array(scheme_station(cfg, pos, sel, trial, "acoc"))
         stations = np.vstack([acoc] + [acoc + r * ring for r in radii])
-        ends = pos[[sel.cug1, sel.cug2]]
-        m1, m2 = 0.5 * (ends[:, 0] + ends[:, 1])
-        se = sim.evaluate_placements(cfg.link, aim_at_midpoints(stations, m1, m2), sel, pos).se_total
+        se = sim.evaluate_placements(cfg.link, stations, sel, pos).se_total
         loss = se[0] - se[1:].reshape(len(radii), 64)
         assert np.all(loss > 0.0), (trial, loss.min())
         losses.append(loss.mean(axis=1))
