@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .beam import BeamSpec, feasible_ring_radius, optimal_ring_radius, ring_waists
-from .config import config_echo, load_config
+from .config import apply_setting, config_echo, load_config
 from .errors import ConfigError, InfeasiblePlacementError, InfeasibleScenarioError, OamCoopError
 from .geometry import aimed_pair_coords, bisector_intersection, transmission_distance
 from .link import channel_condition, half_angle_weights, mode_amplitudes
@@ -49,14 +49,6 @@ def _write_manifest(out: Path, command: str, cfg: ScenarioConfig, arguments: dic
     return path
 
 
-def _override(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
-    """cfg with command-line values applied; a value it rejects is a ConfigError."""
-    try:
-        return replace(cfg, **changes)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _parse_csv_list(raw: str, kind: str):
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
@@ -83,12 +75,11 @@ def cmd_heatmap(cfg: ScenarioConfig, out: Path, grid: int) -> int:
 
 def cmd_sweep(cfg: ScenarioConfig, out: Path, axis: str, values, schemes) -> int:
     """Sweep flight height or user count and write per-scheme aggregates."""
+    key = {"height": "fbs_height_m", "users": "user_count"}[axis]
+    # Every value is checked before any trial runs.
+    cfgs = [apply_setting(cfg, key, value) for value in values]
     lines = ["axis_value,scheme,mean_se_bps_hz,ci95_half_width,trials,flag_rate"]
-    for value in values:
-        if axis == "height":
-            cfg_v = _override(cfg, fbs_height=float(value))
-        else:
-            cfg_v = _override(cfg, user_count=int(value))
+    for value, cfg_v in zip(values, cfgs):
         summaries = summarize(run_experiment(cfg_v, schemes))
         for scheme in schemes:
             s = summaries[scheme]
@@ -251,12 +242,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        seed = getattr(args, "seed", None)
-        if seed is not None:
-            cfg = _override(cfg, master_seed=seed)
-        trials = getattr(args, "trials", None)
-        if trials is not None:
-            cfg = _override(cfg, trials=trials)
+        for key, flag in (("master_seed", "seed"), ("trials", "trials")):
+            value = getattr(args, flag, None)
+            if value is not None:
+                cfg = apply_setting(cfg, key, value)
 
         if args.command == "heatmap":
             if args.grid < 2:
@@ -275,11 +264,9 @@ def main(argv=None) -> int:
             if not all(math.isfinite(v) for v in values):
                 raise ConfigError(f"axis values must be finite: {args.values!r}")
             if args.axis == "users":
-                if any(v != int(v) or v < 1 for v in values):
-                    raise ConfigError("user counts must be positive integers")
+                if any(v != int(v) for v in values):
+                    raise ConfigError("user counts must be integers")
                 values = [int(v) for v in values]
-            elif any(v <= 0 for v in values):
-                raise ConfigError("heights must be positive")
             return cmd_sweep(cfg, args.out, args.axis, values, schemes)
         return cmd_validate(cfg)
     except ConfigError as exc:

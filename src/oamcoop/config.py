@@ -84,42 +84,40 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return values
 
 
-def _with_setting(cfg: ScenarioConfig, group: str, name, value) -> ScenarioConfig:
-    """cfg with one field set; the dataclasses re-validate it."""
-    if group == "ground_bs":
-        # Unset coordinates keep the default station: hotspot center at flight height.
-        position = list(cfg.resolved_ground_bs())
-        position[name] = value
-        return replace(cfg, ground_bs_position=tuple(position))
-    if group:
-        return replace(cfg, **{group: replace(getattr(cfg, group), **{name: value})})
-    return replace(cfg, **{name: value})
+def apply_setting(cfg: ScenarioConfig, key: str, value) -> ScenarioConfig:
+    """cfg with the parsed value of one KEYS key; a rejected value is a ConfigError naming the key."""
+    group, name, _ = KEYS[key]
+    try:
+        if group == "ground_bs":
+            position = list(cfg.ground_bs_position)
+            position[name] = value
+            return replace(cfg, ground_bs_position=tuple(position))
+        if group:
+            return replace(cfg, **{group: replace(getattr(cfg, group), **{name: value})})
+        return replace(cfg, **{name: value})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def build_scenario(values: dict[str, str]) -> ScenarioConfig:
     """Assemble a ScenarioConfig from parsed values; absent keys keep the defaults.
 
-    A rejected setting is a ConfigError that names its key.
+    Settings are applied in KEYS order, so a file with several bad settings
+    reports the first; a rejected setting is a ConfigError that names its key.
     """
-    # group -> field -> (key, value), in the order the settings are applied
-    # and validated: a file with several bad settings reports the first.
-    given: dict[str, dict] = {"link": {}, "selection": {}, "": {}, "ground_bs": {}}
+    cfg = ScenarioConfig()
+    given: dict[tuple, str] = {}  # (group, field) -> key
     for key, (group, name, parse) in KEYS.items():
         if key not in values:
             continue
-        if name in given[group]:
-            raise ConfigError(f"give {given[group][name][0]} or {key}, not both")
+        if (group, name) in given:
+            raise ConfigError(f"give {given[group, name]} or {key}, not both")
+        given[group, name] = key
         try:
-            given[group][name] = (key, parse(values[key]))
+            value = parse(values[key])
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-    cfg = ScenarioConfig()
-    for group, settings in given.items():
-        for name, (key, value) in settings.items():
-            try:
-                cfg = _with_setting(cfg, group, name, value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
+        cfg = apply_setting(cfg, key, value)
     return cfg
 
 

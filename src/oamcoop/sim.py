@@ -41,7 +41,8 @@ class ScenarioConfig:
     master_seed: int = 1
     link: LinkConfig = field(default_factory=LinkConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
-    ground_bs_position: tuple[float, float, float] | None = None
+    # Unset (None) coordinates follow the hotspot center and the flight height.
+    ground_bs_position: tuple[float | None, float | None, float | None] = (None, None, None)
 
     def __post_init__(self):
         if not 0.0 < self.hotspot_side < math.inf:
@@ -54,15 +55,12 @@ class ScenarioConfig:
             raise ValueError("trials must be at least 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
-        if self.ground_bs_position is not None:
-            x, y, z = self.ground_bs_position
-            if not all(map(math.isfinite, (x, y, z))):
-                raise ValueError("ground BS position must be finite")
-            if not z > 0.0:
-                raise ValueError("ground BS height must be positive")
-            object.__setattr__(
-                self, "ground_bs_position", (float(x), float(y), float(z))
-            )
+        position = tuple(None if v is None else float(v) for v in self.ground_bs_position)
+        if not all(math.isfinite(v) for v in position if v is not None):
+            raise ValueError("ground BS position must be finite")
+        if position[2] is not None and not position[2] > 0.0:
+            raise ValueError("ground BS height must be positive")
+        object.__setattr__(self, "ground_bs_position", position)
         # Candidates are screened for the height the station will fly at.
         object.__setattr__(self, "selection", replace(self.selection, min_height=self.fbs_height))
 
@@ -72,10 +70,8 @@ class ScenarioConfig:
 
     def resolved_ground_bs(self) -> tuple[float, float, float]:
         """Fixed-station position: hotspot center at flight height unless overridden."""
-        if self.ground_bs_position is not None:
-            return self.ground_bs_position
-        cx, cy = self.hotspot_center
-        return (cx, cy, self.fbs_height)
+        default = (*self.hotspot_center, self.fbs_height)
+        return tuple(d if v is None else v for v, d in zip(self.ground_bs_position, default))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +141,7 @@ def place_acoc(
 
 
 def scheme_station(cfg: ScenarioConfig, positions, selection: CugSelection, trial_index: int, scheme: str):
-    """Station position (x, y, z) of one placement scheme for a trial's selection.
+    """Station position (x, y, z), a float array, of one placement scheme for a trial's selection.
 
     acoc: place_acoc's aligned station (it raises InfeasiblePlacementError for
     a chord below its ring floor there); suboptimal: above the first chord's
@@ -158,13 +154,12 @@ def scheme_station(cfg: ScenarioConfig, positions, selection: CugSelection, tria
         )
     if scheme == SCHEME_SUBOPTIMAL:
         p, q = positions[list(selection.cug1)]
-        x, y = 0.5 * (p + q)
-        return (x, y, cfg.fbs_height)
+        return np.append(0.5 * (p + q), cfg.fbs_height)
     if scheme == SCHEME_RANDOM:
         seed = stream_seed(cfg.master_seed, trial_index, _STREAM_RANDOM_PLACEMENT)
-        x, y = np.random.default_rng(seed).uniform(0.0, cfg.hotspot_side, size=2)
-        return (x, y, cfg.fbs_height)
-    return cfg.resolved_ground_bs()
+        xy = np.random.default_rng(seed).uniform(0.0, cfg.hotspot_side, size=2)
+        return np.append(xy, cfg.fbs_height)
+    return np.array(cfg.resolved_ground_bs(), dtype=float)
 
 
 def run_trial(cfg: ScenarioConfig, trial_index: int, schemes=SCHEMES) -> list[TrialResult]:
@@ -182,7 +177,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, schemes=SCHEMES) -> list[Tr
     pos = drop.positions
     results = []
     for scheme in schemes:
-        station = np.asarray(scheme_station(cfg, pos, selection, trial_index, scheme), dtype=float)
+        station = scheme_station(cfg, pos, selection, trial_index, scheme)
         report = evaluate_link(cfg.link, station, selection, pos)
         placement = Placement(station)
         results.append(

@@ -181,14 +181,6 @@ def test_sweep_rejects_unknown_scheme(tmp_path, small_cfg):
     assert rc == EXIT_CONFIG_ERROR
 
 
-def test_too_few_users_rejected(tmp_path, small_cfg):
-    # fewer than four users cannot form two pairs: a config error, not a crash
-    args = _sweep_args(tmp_path, small_cfg)
-    args[args.index("height")] = "users"
-    args[args.index("50")] = "3"
-    assert main(args) == EXIT_CONFIG_ERROR
-
-
 def test_fractional_user_count_rejected(tmp_path, small_cfg):
     rc = main(
         [
@@ -306,11 +298,46 @@ def test_module_forms_run_validate():
     assert runs[0].stdout == runs[1].stdout == "\n".join(VALIDATE_LINES) + "\n"
 
 
-@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--trials", "0")])
-def test_rejected_override_is_config_error(tmp_path, small_cfg, capsys, flag, value):
-    rc = main(_sweep_args(tmp_path, small_cfg) + [flag, value])
+@pytest.mark.parametrize(
+    "flags,key",
+    [
+        pytest.param(["--seed", "-1"], "master_seed", id="--seed--1"),
+        pytest.param(["--trials", "0"], "trials", id="--trials-0"),
+        pytest.param(["--values", "0"], "fbs_height_m", id="--values-0"),
+        # fewer than four users cannot form two pairs: a config error, not a crash
+        pytest.param(["--axis", "users", "--values", "3"], "user_count", id="--axis-users--values-3"),
+    ],
+)
+def test_rejected_override_is_config_error(tmp_path, small_cfg, capsys, flags, key):
+    # The flags come after _sweep_args' own, so they win.
+    rc = main(_sweep_args(tmp_path, small_cfg) + flags)
     assert rc == EXIT_CONFIG_ERROR
-    assert "config error" in capsys.readouterr().err
+    assert f"config error: {key}: " in capsys.readouterr().err
+
+
+def test_sweep_checks_every_value_before_running(tmp_path, small_cfg, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: runs.append(args) or sim.run_experiment(*args))
+    out = tmp_path / "s.csv"
+    args = _sweep_args(tmp_path, small_cfg) + ["--axis", "users", "--values", "500,3"]
+    assert main(args) == EXIT_CONFIG_ERROR
+    assert runs == []
+    assert not out.exists()
+
+
+def test_restating_the_default_ground_bs_x_keeps_the_cow_rows(tmp_path):
+    # An unset ground-station height follows each swept flight height,
+    # whichever coordinates the file sets.
+    csvs = []
+    for extra in ("", "ground_bs.x_m = 50\n"):
+        cfg = tmp_path / "cow.cfg"
+        cfg.write_text("user_count = 800\ntrials = 3\n" + extra)
+        out = tmp_path / f"cow{len(csvs)}.csv"
+        args = ["sweep", "--config", str(cfg), "--out", str(out), "--axis", "height",
+                "--values", "50,100", "--schemes", "cow", "--seed", "1"]
+        assert main(args) == EXIT_OK
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def _sweep_args(tmp_path, small_cfg):

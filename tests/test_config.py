@@ -11,6 +11,7 @@ import pytest
 import oamcoop
 from oamcoop.config import (
     KEYS,
+    apply_setting,
     build_scenario,
     config_echo,
     dbm_to_watts,
@@ -89,6 +90,14 @@ def test_build_full_scenario():
     assert cfg.ground_bs_position == (40.0, 41.0, 25.0)
     # planning height follows the flight height, not the file order
     assert cfg.selection.min_height == 60.0
+
+
+def test_unset_ground_bs_coordinates_follow_a_later_flight_height():
+    # Restating the default x must not pin the station's height at the
+    # flight height the file was read with.
+    cfg = build_scenario(parse_config_text("ground_bs.x_m = 50\n"))
+    assert cfg.ground_bs_position == (50.0, None, None)
+    assert apply_setting(cfg, "fbs_height_m", 100.0).resolved_ground_bs() == (50.0, 50.0, 100.0)
 
 
 def test_power_units_are_exclusive():

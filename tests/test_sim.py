@@ -177,7 +177,14 @@ def test_cow_station_is_the_configured_ground_station():
     expect = np.linalg.norm(np.array([m2[0], m2[1], 0.0]) - station)
     assert transmission_distance(station, m2) == pytest.approx(expect, rel=1e-12)
     moved = replace(FAST, ground_bs_position=(10.0, 20.0, 30.0))
-    assert scheme_station(moved, users, sel, 0, "cow") == (10.0, 20.0, 30.0)
+    np.testing.assert_array_equal(scheme_station(moved, users, sel, 0, "cow"), [10.0, 20.0, 30.0])
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_scheme_station_is_a_float_array(scheme):
+    users, sel = _known_selection()
+    station = scheme_station(FAST, users, sel, 0, scheme)
+    assert isinstance(station, np.ndarray) and station.dtype == float and station.shape == (3,)
 
 
 @pytest.mark.parametrize("schemes", [SCHEMES, ("acoc",), ("cow", "random")], ids="+".join)
